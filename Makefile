@@ -85,9 +85,11 @@ sweep-smoke:
 	echo "sweep-smoke: 8/8 cache hits, aggregates byte-identical"
 
 # Trace-oracle conformance smoke: the rule-level oracle tests, the full
-# protocol × fault-class matrix (TestOracleMatrix) and the metamorphic
-# harness must run violation-free, then the incast command's -oracle gate
-# must pass a faulted multi-protocol sweep end to end. On violation the
+# protocol × fault-class matrices (TestOracleMatrix and its background
+# sibling TestOracleBackgroundMatrix, which pins TCP's known finding) and
+# the metamorphic harness must run violation-free, then the incast
+# command's -oracle gate must pass a faulted multi-protocol sweep end to
+# end. On violation the
 # command writes the minimized event-window trace to $(ORACLE_TRACE),
 # which CI uploads as the failure artifact.
 ORACLE_TRACE ?= oracle-violations.txt

@@ -28,6 +28,14 @@ const (
 	benchWarmup = 6
 )
 
+// benchFigure runs a figure spec at the bench scale over flowCounts.
+func benchFigure(f *dcp.Figure7, flowCounts []int) []dcp.IncastResult {
+	f.Scale = dcp.Scale{Rounds: benchRounds, Warmup: benchWarmup, Seed: 1}
+	f.FlowCounts = flowCounts
+	f.Run()
+	return f.Results
+}
+
 func fastOpts(p dcp.Protocol, n int) dcp.IncastOptions {
 	o := dcp.DefaultIncastOptions(p, n)
 	o.Rounds = benchRounds
@@ -50,10 +58,7 @@ func dumpOnce(key string, f func()) {
 func BenchmarkFig1_IncastDCTCPvsTCP(b *testing.B) {
 	flowCounts := []int{1, 5, 10, 20, 40, 60, 80}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoTCP, dcp.ProtoDCTCP} {
-			all = append(all, dcp.SweepIncast(fastOpts(p, 0), flowCounts)...)
-		}
+		all := benchFigure(dcp.NewFigure1(), flowCounts)
 		dumpOnce("fig1", func() {
 			fmt.Println("\n=== Figure 1: goodput vs concurrent flows (DCTCP, TCP) ===")
 			dcp.PrintIncastRows(os.Stdout, all)
@@ -165,7 +170,9 @@ func BenchmarkTable1_TimeoutTaxonomy(b *testing.B) {
 func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
 	flowCounts := []int{20, 40, 60, 80, 120, 160}
 	for i := 0; i < b.N; i++ {
-		partial := dcp.SweepIncast(fastOpts(dcp.ProtoDCTCPPlusPartial, 0), flowCounts)
+		f := dcp.NewFigure6()
+		f.Protocols = []dcp.Protocol{dcp.ProtoDCTCPPlusPartial}
+		partial := benchFigure(f, flowCounts)
 		dumpOnce("fig6", func() {
 			fmt.Println("\n=== Figure 6: partially implemented DCTCP+ (no desynchronization) ===")
 			dcp.PrintIncastRows(os.Stdout, partial)
@@ -180,10 +187,7 @@ func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
 func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
 	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			all = append(all, dcp.SweepIncast(fastOpts(p, 0), flowCounts)...)
-		}
+		all := benchFigure(dcp.NewFigure7(), flowCounts)
 		dumpOnce("fig7", func() {
 			fmt.Println("\n=== Figure 7: full DCTCP+ vs DCTCP vs TCP ===")
 			dcp.PrintIncastRows(os.Stdout, all)
@@ -204,13 +208,7 @@ func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
 func BenchmarkFig8_RTO10ms(b *testing.B) {
 	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		all = append(all, dcp.SweepIncast(fastOpts(dcp.ProtoDCTCPPlus, 0), flowCounts)...)
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			o := fastOpts(p, 0)
-			o.RTOMin = 10 * dcp.Millisecond
-			all = append(all, dcp.SweepIncast(o, flowCounts)...)
-		}
+		all := benchFigure(dcp.NewFigure8(), flowCounts)
 		dumpOnce("fig8", func() {
 			fmt.Println("\n=== Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms ===")
 			dcp.PrintIncastRows(os.Stdout, all)
@@ -271,14 +269,11 @@ func BenchmarkFig11_12_BackgroundIncast(b *testing.B) {
 	// figure).
 	flowCounts := []int{20, 80}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.BackgroundIncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			o := dcp.DefaultBackgroundIncastOptions(p, 0)
-			o.Incast.Rounds = 16
-			o.Incast.WarmupRounds = 4
-			o.ChunkBytes = 1 << 20
-			all = append(all, dcp.SweepBackgroundIncastParallel(o, flowCounts)...)
-		}
+		f := dcp.NewFigure11_12()
+		f.Scale = dcp.Scale{Rounds: 16, Warmup: 4, Seed: 1}
+		f.FlowCounts = flowCounts
+		f.Run()
+		all := f.Results
 		dumpOnce("fig11", func() {
 			fmt.Println("\n=== Figures 11+12: incast with background long flows ===")
 			dcp.PrintBackgroundIncastRows(os.Stdout, all)

@@ -74,16 +74,14 @@ func runBackgroundIncast(protoList []dcp.Protocol, flows string, rounds, warmup 
 		fmt.Fprintln(os.Stderr, "benchmark:", err)
 		os.Exit(2)
 	}
-	var all []dcp.BackgroundIncastResult
-	for _, p := range protoList {
-		o := dcp.DefaultBackgroundIncastOptions(p, 0)
-		o.Incast.Rounds = rounds
-		o.Incast.WarmupRounds = warmup
-		o.Incast.Testbed.Seed = seed
-		all = append(all, dcp.SweepBackgroundIncastParallel(o, flowCounts)...)
-	}
+	f := dcp.NewFigure11_12()
+	f.Scale = dcp.Scale{Rounds: rounds, Warmup: warmup, Seed: seed}
+	f.Protocols = protoList
+	f.FlowCounts = flowCounts
+	f.ChunkBytes = 4 << 20
+	f.Run()
 	fmt.Println("Figures 11+12: incast with two persistent background flows")
-	dcp.PrintBackgroundIncastRows(os.Stdout, all)
+	f.Render(os.Stdout)
 }
 
 func parseProtocols(csv string) ([]dcp.Protocol, error) {

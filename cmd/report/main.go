@@ -209,8 +209,6 @@ func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
 
 func withScale[F interface{ figure }](f F, sc dcp.Scale) F {
 	switch v := any(f).(type) {
-	case *dcp.Figure1:
-		v.Scale = sc
 	case *dcp.Figure2Table1:
 		v.Scale = sc
 	case *dcp.Figure7:

@@ -141,19 +141,8 @@ func DefaultBenchmarkOptions(p Protocol) BenchmarkOptions {
 // RunIncast executes one incast experiment point.
 func RunIncast(o IncastOptions) IncastResult { return exp.RunIncast(o) }
 
-// SweepIncast runs an incast curve across flow counts.
-func SweepIncast(base IncastOptions, flowCounts []int) []IncastResult {
-	return exp.SweepIncast(base, flowCounts)
-}
-
-// SweepIncastParallel is SweepIncast with the points executed on separate
-// goroutines. Each point is an independent deterministic simulation, so
-// results are positionally identical to the sequential sweep.
-func SweepIncastParallel(base IncastOptions, flowCounts []int) []IncastResult {
-	return exp.SweepIncastParallel(base, flowCounts)
-}
-
-// RunMany executes heterogeneous incast points concurrently.
+// RunMany executes heterogeneous incast points concurrently; results are
+// positional and identical to a plain loop over RunIncast.
 func RunMany(optList []IncastOptions) []IncastResult { return exp.RunMany(optList) }
 
 // Sweep orchestration (internal/sweep): declare a parameter grid as a
@@ -210,26 +199,14 @@ func SweepOracleReport(results []SweepResult) (total int64, lines []string) {
 // worker per available CPU.
 func DefaultSweepWorkers() int { return pool.DefaultWorkers() }
 
-// SetParallelism sets the worker count the *Parallel sweep variants and
-// RunMany fan out to (a command's -jobs flag lands here). Width changes
-// wall-clock time only, never results.
+// SetParallelism sets the worker count RunMany and the figure specs fan
+// out to (a command's -jobs flag lands here). Width changes wall-clock time
+// only, never results.
 func SetParallelism(n int) { exp.Parallelism = n }
 
 // RunBackgroundIncast executes incast concurrently with long flows.
 func RunBackgroundIncast(o BackgroundIncastOptions) BackgroundIncastResult {
 	return exp.RunBackgroundIncast(o)
-}
-
-// SweepBackgroundIncast runs the background-incast curve across flow
-// counts.
-func SweepBackgroundIncast(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	return exp.SweepBackgroundIncast(base, flowCounts)
-}
-
-// SweepBackgroundIncastParallel is SweepBackgroundIncast with the points
-// executed concurrently.
-func SweepBackgroundIncastParallel(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	return exp.SweepBackgroundIncastParallel(base, flowCounts)
 }
 
 // RunBenchmark executes the production benchmark-traffic experiment.
@@ -356,11 +333,9 @@ func PrintResilienceRows(w io.Writer, protocols []Protocol, rows []ResilienceRow
 type (
 	// Scale applies common run-length settings to figure specs.
 	Scale = exp.Scale
-	// Figure1 is the basic incast goodput comparison (DCTCP vs TCP).
-	Figure1 = exp.Figure1
 	// Figure2Table1 is the cwnd distribution + timeout taxonomy analysis.
 	Figure2Table1 = exp.Figure2Table1
-	// Figure7 is the headline comparison (Figures 6/8 are variants).
+	// Figure7 is the headline comparison (Figures 1/6/8 are variants).
 	Figure7 = exp.Figure7
 	// Figure9 is the bottleneck queue-length CDF comparison.
 	Figure9 = exp.Figure9
@@ -375,8 +350,8 @@ type (
 // DefaultScale returns the report's default run-length settings.
 func DefaultScale() Scale { return exp.DefaultScale() }
 
-// NewFigure1 returns the Figure 1 specification.
-func NewFigure1() *Figure1 { return exp.NewFigure1() }
+// NewFigure1 returns the Figure 1 (DCTCP vs TCP goodput) specification.
+func NewFigure1() *Figure7 { return exp.NewFigure1() }
 
 // NewFigure2Table1 returns the Figure 2 / Table I specification.
 func NewFigure2Table1() *Figure2Table1 { return exp.NewFigure2Table1() }

@@ -38,10 +38,14 @@ func TestFacadeSweepAndDurations(t *testing.T) {
 	if dcp.Millisecond != 1000*dcp.Microsecond || dcp.Second != 1000*dcp.Millisecond {
 		t.Error("duration units inconsistent")
 	}
-	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 0)
-	o.Rounds = 4
-	o.WarmupRounds = 1
-	rs := dcp.SweepIncast(o, []int{2, 3})
+	var optList []dcp.IncastOptions
+	for _, n := range []int{2, 3} {
+		o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, n)
+		o.Rounds = 4
+		o.WarmupRounds = 1
+		optList = append(optList, o)
+	}
+	rs := dcp.RunMany(optList)
 	if len(rs) != 2 || rs[0].Flows != 2 || rs[1].Flows != 3 {
 		t.Fatal("sweep shape wrong")
 	}

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"io"
 
-	"dctcpplus/internal/packet"
-	"dctcpplus/internal/sim"
 	"dctcpplus/internal/stats"
-	"dctcpplus/internal/tcp"
-	"dctcpplus/internal/trace"
-	"dctcpplus/internal/workload"
 )
 
 // BackgroundIncastOptions parameterizes the §VI-C experiment: the basic
 // incast with persistent long flows consuming the shared bottleneck buffer
 // (Fig. 10's topology; results in Figs. 11 and 12).
 type BackgroundIncastOptions struct {
+	// Incast is the basic incast the long flows run beside. Every field
+	// applies as it does to RunIncast — oracle, faults, probes, sampler,
+	// KeepRounds, FlowIDs, MirrorWorkers — with two scoping rules: the
+	// oracle and fault plan cover the long flows too, while Timeouts and
+	// the cwnd probes cover the incast connections only. SimTime is left
+	// unset on the result.
 	Incast IncastOptions
 
 	// BackgroundFlows is the number of persistent long flows (2 in the
@@ -49,116 +50,7 @@ type BackgroundIncastResult struct {
 // RunBackgroundIncast executes the incast workload concurrently with
 // persistent background flows.
 func RunBackgroundIncast(o BackgroundIncastOptions) BackgroundIncastResult {
-	oi := o.Incast
-	if oi.Rounds <= oi.WarmupRounds {
-		panic("exp: Rounds must exceed WarmupRounds")
-	}
-	if oi.MaxSimTime <= 0 {
-		oi.MaxSimTime = 30 * 60 * sim.Second
-	}
-	if o.BackgroundFlows < 0 || o.BackgroundFlows >= oi.Testbed.Leaves*oi.Testbed.HostsPerLeaf {
-		panic("exp: BackgroundFlows must be fewer than the workers")
-	}
-	sched, tt := oi.Testbed.build()
-	incastFactory := oi.Factory
-	if incastFactory == nil {
-		incastFactory = oi.Protocol.Factory(oi.RTOMin, oi.Testbed.Seed)
-	}
-	in := workload.NewIncast(sched, tt, workload.IncastConfig{
-		Flows:         oi.Flows,
-		BytesPerFlow:  oi.perFlowBytes(),
-		Rounds:        oi.Rounds,
-		Factory:       incastFactory,
-		ServiceJitter: oi.Testbed.ServiceJitter,
-		Seed:          oi.Testbed.Seed,
-	})
-
-	// Long flows: one per distinct worker, flow ids above the incast range.
-	factory := oi.Factory
-	if factory == nil {
-		factory = oi.Protocol.Factory(oi.RTOMin, oi.Testbed.Seed^0xbac)
-	}
-	var longs []*workload.LongFlow
-	var longConns []*tcp.Conn
-	for i := 0; i < o.BackgroundFlows; i++ {
-		cfg, cc := factory(1_000_000 + i)
-		lf := workload.NewLongFlow(sched, tt.Workers[i], tt.Aggregator,
-			packet.FlowID(900_000+i), cfg, cc, o.ChunkBytes)
-		longs = append(longs, lf)
-		longConns = append(longConns, lf.Conn())
-	}
-
-	labels := attachRunTelemetry(oi.Telemetry, tt, in.Conns(), oi.Protocol, oi.Flows)
-	in.AttachTelemetry(oi.Telemetry, labels...)
-	// Long flows report under their own role label so their transport events
-	// do not blend into the incast flows' counters. Attachment precedes
-	// Start, which pumps the first chunk synchronously.
-	attachConnTelemetry(oi.Telemetry, longConns, withLabel(labels, "role", "background"))
-	for _, lf := range longs {
-		lf.Start()
-	}
-
-	var sampler *trace.QueueSampler
-	if oi.QueueSampleEvery > 0 {
-		sampler = trace.NewQueueSampler(sched, tt.BottleneckPort, oi.QueueSampleEvery)
-		sampler.Start()
-	}
-
-	in.OnFinished = sched.Halt
-	in.Start()
-	sched.RunUntil(sim.Time(oi.MaxSimTime))
-	for _, lf := range longs {
-		lf.Stop()
-	}
-	finishRunTelemetry(oi.Telemetry, sched.Now(), append(in.Conns(), longConns...))
-
-	res := BackgroundIncastResult{}
-	res.Protocol = oi.Protocol
-	res.Flows = oi.Flows
-
-	measured := in.Results()
-	if len(measured) > oi.WarmupRounds {
-		measured = measured[oi.WarmupRounds:]
-	}
-	res.Rounds = len(measured)
-	var goodputs, fcts []float64
-	for _, r := range measured {
-		goodputs = append(goodputs, r.GoodputMbps())
-		fcts = append(fcts, r.FCT.Millis())
-	}
-	res.GoodputMbps = stats.Summarize(goodputs)
-	res.FCTms = stats.Summarize(fcts)
-	for _, c := range in.Conns() {
-		st := c.Sender.Stats()
-		res.Timeouts += st.Timeouts
-		res.FLossTO += st.FLossTimeouts
-		res.LAckTO += st.LAckTimeouts
-	}
-	if sampler != nil {
-		sampler.Stop()
-		res.QueueSamples = sampler.Samples()
-	}
-	res.BottleneckDrops = tt.BottleneckPort.Stats().DroppedPkts
-
-	var chunks []float64
-	for _, lf := range longs {
-		chunks = append(chunks, lf.ChunkThroughputMbps()...)
-		res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
-	}
-	res.LongFlowMbps = stats.Summarize(chunks)
-	return res
-}
-
-// SweepBackgroundIncast runs the background-incast point across flow
-// counts (the Figs. 11/12 curves).
-func SweepBackgroundIncast(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	out := make([]BackgroundIncastResult, 0, len(flowCounts))
-	for _, n := range flowCounts {
-		o := base
-		o.Incast.Flows = n
-		out = append(out, RunBackgroundIncast(o))
-	}
-	return out
+	return runIncast(o.Incast, &o)
 }
 
 // PrintBackgroundIncastRows writes the Figs. 11/12 rows: incast goodput and

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dctcpplus/internal/fault"
 	"dctcpplus/internal/sim"
 )
 
@@ -153,7 +154,7 @@ func TestRunIncastValidation(t *testing.T) {
 }
 
 func TestSweepIncast(t *testing.T) {
-	rs := SweepIncast(fastIncastOpts(ProtoDCTCP, 0), []int{2, 4})
+	rs := RunMany([]IncastOptions{fastIncastOpts(ProtoDCTCP, 2), fastIncastOpts(ProtoDCTCP, 4)})
 	if len(rs) != 2 || rs[0].Flows != 2 || rs[1].Flows != 4 {
 		t.Fatalf("sweep shape wrong: %+v", rs)
 	}
@@ -191,6 +192,28 @@ func TestRunBackgroundIncast(t *testing.T) {
 	PrintBackgroundIncastRows(&sb, []BackgroundIncastResult{r})
 	if !strings.Contains(sb.String(), "longflow") {
 		t.Error("row output missing longflow column")
+	}
+
+	// The background run shares RunIncast's path, so the oracle, the fault
+	// plan, the round series and the cwnd probes all apply to it.
+	o.Incast.Oracle = true
+	g := fault.DefaultGenConfig(3)
+	g.Classes = fault.AllClasses()
+	o.Incast.Faults = &g
+	o.Incast.KeepRounds = true
+	o.Incast.CollectCwnd = true
+	r = RunBackgroundIncast(o)
+	if r.FaultStats == nil || r.FaultStats.EventsFired == 0 {
+		t.Error("no fault events fired")
+	}
+	if len(r.Series) != o.Incast.Rounds {
+		t.Errorf("series = %d rounds, want %d", len(r.Series), o.Incast.Rounds)
+	}
+	if r.CwndHist == nil {
+		t.Error("cwnd probes not attached")
+	}
+	if r.OracleViolations == nil {
+		t.Error("the oracle did not run")
 	}
 }
 

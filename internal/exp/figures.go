@@ -20,7 +20,7 @@ type Scale struct {
 	Seed   uint64
 
 	// Telemetry, when non-nil, is threaded into every run of the figure;
-	// atomic instruments make one registry safe across the parallel sweeps.
+	// atomic instruments make one registry safe across parallel points.
 	Telemetry *telemetry.Registry
 }
 
@@ -34,37 +34,6 @@ func (sc Scale) apply(o *IncastOptions) {
 	o.Testbed.Seed = sc.Seed
 	o.Telemetry = sc.Telemetry
 }
-
-// Figure1 is the basic incast goodput comparison (DCTCP vs TCP).
-type Figure1 struct {
-	Scale      Scale
-	Protocols  []Protocol
-	FlowCounts []int
-
-	Results []IncastResult
-}
-
-// NewFigure1 returns the paper's Figure 1 specification.
-func NewFigure1() *Figure1 {
-	return &Figure1{
-		Scale:      DefaultScale(),
-		Protocols:  []Protocol{ProtoTCP, ProtoDCTCP},
-		FlowCounts: []int{1, 5, 10, 20, 30, 40, 60, 80, 100},
-	}
-}
-
-// Run executes the sweep (points in parallel).
-func (f *Figure1) Run() {
-	f.Results = f.Results[:0]
-	for _, p := range f.Protocols {
-		o := DefaultIncastOptions(p, 0)
-		f.Scale.apply(&o)
-		f.Results = append(f.Results, SweepIncastParallel(o, f.FlowCounts)...)
-	}
-}
-
-// Render writes the figure's rows.
-func (f *Figure1) Render(w io.Writer) { PrintIncastRows(w, f.Results) }
 
 // Figure2Table1 is the cwnd-distribution and timeout-taxonomy analysis.
 type Figure2Table1 struct {
@@ -134,8 +103,9 @@ func (f *Figure2Table1) Render(w io.Writer) {
 	}
 }
 
-// Figure7 is the headline comparison (also covers Figure 6 via the partial
-// protocol and Figure 8 via BaselineRTOMin).
+// Figure7 is the headline comparison (also covers Figure 1 via TCP/DCTCP
+// at small N, Figure 6 via the partial protocol and Figure 8 via
+// BaselineRTOMin).
 type Figure7 struct {
 	Scale      Scale
 	Protocols  []Protocol
@@ -156,6 +126,15 @@ func NewFigure7() *Figure7 {
 	}
 }
 
+// NewFigure1 returns Figure 1, the basic incast goodput comparison (DCTCP
+// vs TCP).
+func NewFigure1() *Figure7 {
+	f := NewFigure7()
+	f.Protocols = []Protocol{ProtoTCP, ProtoDCTCP}
+	f.FlowCounts = []int{1, 5, 10, 20, 30, 40, 60, 80, 100}
+	return f
+}
+
 // NewFigure6 returns the partial-implementation ablation of Figure 6.
 func NewFigure6() *Figure7 {
 	f := NewFigure7()
@@ -170,17 +149,20 @@ func NewFigure8() *Figure7 {
 	return f
 }
 
-// Run executes the sweeps.
+// Run executes every (protocol, N) point, points in parallel.
 func (f *Figure7) Run() {
-	f.Results = f.Results[:0]
+	var optList []IncastOptions
 	for _, p := range f.Protocols {
-		o := DefaultIncastOptions(p, 0)
-		f.Scale.apply(&o)
-		if f.BaselineRTOMin > 0 && p != ProtoDCTCPPlus && p != ProtoDCTCPPlusPartial {
-			o.RTOMin = f.BaselineRTOMin
+		for _, n := range f.FlowCounts {
+			o := DefaultIncastOptions(p, n)
+			f.Scale.apply(&o)
+			if f.BaselineRTOMin > 0 && p != ProtoDCTCPPlus && p != ProtoDCTCPPlusPartial {
+				o.RTOMin = f.BaselineRTOMin
+			}
+			optList = append(optList, o)
 		}
-		f.Results = append(f.Results, SweepIncastParallel(o, f.FlowCounts)...)
 	}
+	f.Results = RunMany(optList)
 }
 
 // Render writes the figure's rows.
@@ -254,16 +236,19 @@ func NewFigure11_12() *Figure11_12 {
 	}
 }
 
-// Run executes the sweeps.
+// Run executes every (protocol, N) point, points in parallel.
 func (f *Figure11_12) Run() {
-	f.Results = f.Results[:0]
+	var optList []BackgroundIncastOptions
 	for _, p := range f.Protocols {
-		o := DefaultBackgroundIncastOptions(p, 0)
-		f.Scale.apply(&o.Incast)
-		o.BackgroundFlows = f.BackgroundFlows
-		o.ChunkBytes = f.ChunkBytes
-		f.Results = append(f.Results, SweepBackgroundIncastParallel(o, f.FlowCounts)...)
+		for _, n := range f.FlowCounts {
+			o := DefaultBackgroundIncastOptions(p, n)
+			f.Scale.apply(&o.Incast)
+			o.BackgroundFlows = f.BackgroundFlows
+			o.ChunkBytes = f.ChunkBytes
+			optList = append(optList, o)
+		}
 	}
+	f.Results = fanOut(optList, RunBackgroundIncast)
 }
 
 // Render writes the figure's rows.

@@ -10,6 +10,7 @@ import (
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/stats"
+	"dctcpplus/internal/tcp"
 	"dctcpplus/internal/telemetry"
 	"dctcpplus/internal/trace"
 	"dctcpplus/internal/workload"
@@ -111,8 +112,8 @@ type IncastOptions struct {
 	// Telemetry, when non-nil, receives instrument updates from every hot
 	// layer of the run (ports, senders, congestion control, workload) under
 	// the {proto, flows} label set. The registry is safe to share across a
-	// sweep — including SweepIncastParallel — because instruments are
-	// atomic.
+	// sweep — including RunMany's concurrent points — because instruments
+	// are atomic.
 	Telemetry *telemetry.Registry
 
 	// Faults, when non-nil, generates a deterministic fault plan from this
@@ -263,12 +264,20 @@ func (r IncastResult) QueueCDF() *stats.CDF {
 }
 
 // RunIncast executes one incast experiment point.
-func RunIncast(o IncastOptions) IncastResult {
+func RunIncast(o IncastOptions) IncastResult { return runIncast(o, nil).IncastResult }
+
+// runIncast is the one incast run path: the basic incast, plus bg's
+// persistent long flows when bg is non-nil. Every IncastOptions field
+// applies to both.
+func runIncast(o IncastOptions, bg *BackgroundIncastOptions) BackgroundIncastResult {
 	if o.Rounds <= o.WarmupRounds {
 		panic("exp: Rounds must exceed WarmupRounds")
 	}
 	if o.MaxSimTime <= 0 {
 		o.MaxSimTime = 30 * 60 * sim.Second
+	}
+	if bg != nil && (bg.BackgroundFlows < 0 || bg.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf) {
+		panic("exp: BackgroundFlows must be fewer than the workers")
 	}
 	sched, tt := o.Testbed.build()
 	if o.MirrorWorkers {
@@ -300,6 +309,24 @@ func RunIncast(o IncastOptions) IncastResult {
 		FlowIDs:       o.FlowIDs,
 	})
 
+	// Long flows: one per distinct worker, flow ids above the incast range,
+	// endpoints seeded apart from the incast's unless Factory overrides.
+	var longs []*workload.LongFlow
+	var longConns []*tcp.Conn
+	if bg != nil {
+		lfFactory := o.Factory
+		if lfFactory == nil {
+			lfFactory = o.Protocol.Factory(o.RTOMin, o.Testbed.Seed^0xbac)
+		}
+		for i := 0; i < bg.BackgroundFlows; i++ {
+			cfg, cc := lfFactory(1_000_000 + i)
+			lf := workload.NewLongFlow(sched, tt.Workers[i], tt.Aggregator,
+				packet.FlowID(900_000+i), cfg, cc, bg.ChunkBytes)
+			longs = append(longs, lf)
+			longConns = append(longConns, lf.Conn())
+		}
+	}
+
 	// The conformance checker chains onto the endpoint and topology hooks
 	// before any traffic (and before the fault injector, though chained
 	// observers compose in either order).
@@ -309,11 +336,17 @@ func RunIncast(o IncastOptions) IncastResult {
 		for _, c := range in.Conns() {
 			ck.AttachConn(c)
 		}
+		for _, c := range longConns {
+			ck.AttachConn(c)
+		}
 		ck.AttachTwoTier(tt)
 	}
 
 	labels := attachRunTelemetry(o.Telemetry, tt, in.Conns(), o.Protocol, o.Flows)
 	in.AttachTelemetry(o.Telemetry, labels...)
+	// Long flows report under their own role label so their transport events
+	// do not blend into the incast flows' counters.
+	attachConnTelemetry(o.Telemetry, longConns, withLabel(labels, "role", "background"))
 
 	var inj *fault.Injector
 	if o.Faults != nil {
@@ -331,6 +364,11 @@ func RunIncast(o IncastOptions) IncastResult {
 			probes = append(probes, p)
 		}
 	}
+	// Every observer is attached before Start, which pumps a long flow's
+	// first chunk synchronously.
+	for _, lf := range longs {
+		lf.Start()
+	}
 	var sampler *trace.QueueSampler
 	if o.QueueSampleEvery > 0 {
 		sampler = trace.NewQueueSampler(sched, tt.BottleneckPort, o.QueueSampleEvery)
@@ -340,20 +378,30 @@ func RunIncast(o IncastOptions) IncastResult {
 	in.OnFinished = sched.Halt
 	in.Start()
 	sched.RunUntil(sim.Time(o.MaxSimTime))
+	for _, lf := range longs {
+		lf.Stop()
+	}
 	drained := false
 	if o.Oracle && in.Finished() {
 		// Completion halts on the final ACK; duplicate retransmissions
-		// raced by the originals can still be in flight. Drain them so the
+		// raced by the originals can still be in flight, and stopped long
+		// flows still send the chunks they queued. Drain both so the
 		// conservation ledger balances.
+		for !sendersDone(longConns) && sched.Now() < sim.Time(o.MaxSimTime) {
+			sched.RunFor(100 * sim.Millisecond)
+		}
 		sched.RunFor(100 * sim.Millisecond)
-		drained = true
+		drained = sendersDone(longConns)
 	}
-	finishRunTelemetry(o.Telemetry, sched.Now(), in.Conns())
+	finishRunTelemetry(o.Telemetry, sched.Now(), append(in.Conns(), longConns...))
 
-	res := IncastResult{
-		Protocol: o.Protocol,
-		Flows:    o.Flows,
-		SimTime:  sched.Now().Sub(sim.Time(0)),
+	var res BackgroundIncastResult
+	res.Protocol = o.Protocol
+	res.Flows = o.Flows
+	if bg == nil {
+		// Background results leave SimTime unset: the benchmark's rebuild
+		// mirror (_perfbench) pins that, bit for bit.
+		res.SimTime = sched.Now().Sub(sim.Time(0))
 	}
 	if inj != nil {
 		st := inj.Finish()
@@ -361,6 +409,11 @@ func RunIncast(o IncastOptions) IncastResult {
 	}
 	if ck != nil {
 		res.OracleViolations = ck.Finish(drained)
+		if res.OracleViolations == nil {
+			// Empty, not nil: a checked, conforming run stays
+			// distinguishable from one that never attached the oracle.
+			res.OracleViolations = []oracle.Violation{}
+		}
 		res.OracleTotal = ck.Total()
 	}
 	if o.KeepRounds {
@@ -406,6 +459,8 @@ func RunIncast(o IncastOptions) IncastResult {
 		res.MinCwndECEFrac = float64(eceFlags) / float64(totalFlags)
 	}
 
+	// Timeouts count the incast connections only; the long flows' RTOs are
+	// theirs, not the incast's.
 	for _, c := range in.Conns() {
 		st := c.Sender.Stats()
 		res.Timeouts += st.Timeouts
@@ -429,19 +484,25 @@ func RunIncast(o IncastOptions) IncastResult {
 		res.QueueSamples = sampler.Samples()
 	}
 	res.BottleneckDrops = tt.BottleneckPort.Stats().DroppedPkts
+
+	var chunks []float64
+	for _, lf := range longs {
+		chunks = append(chunks, lf.ChunkThroughputMbps()...)
+		res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
+	}
+	res.LongFlowMbps = stats.Summarize(chunks)
 	return res
 }
 
-// SweepIncast runs the same options across multiple flow counts — one
-// figure curve.
-func SweepIncast(base IncastOptions, flowCounts []int) []IncastResult {
-	out := make([]IncastResult, 0, len(flowCounts))
-	for _, n := range flowCounts {
-		o := base
-		o.Flows = n
-		out = append(out, RunIncast(o))
+// sendersDone reports whether every connection's sender has all its data
+// acknowledged.
+func sendersDone(conns []*tcp.Conn) bool {
+	for _, c := range conns {
+		if !c.Sender.Done() {
+			return false
+		}
 	}
-	return out
+	return true
 }
 
 // PrintIncastRows writes a figure curve as aligned text rows.

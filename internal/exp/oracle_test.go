@@ -61,6 +61,72 @@ func TestOracleMatrix(t *testing.T) {
 	}
 }
 
+// bgKnownFinding names the background cells the oracle flags: plain TCP
+// beside the long flows reports retrans-legality violations, with no fault
+// injected (flow 9 at 0.38s: retransmission [268148,269608) beyond granted
+// permission 269444) and under every fault class (long flow 900001 at
+// 3.02s) — the signature of the failing TCP point in the benchmark's
+// oracle_faults workload. Whether it is a TCP bug or a gap in the oracle's
+// envelope is not yet established; the pin keeps the report visible until
+// one of the two is fixed.
+var bgKnownFinding = map[string]string{
+	"none/tcp": "retrans-legality",
+	"all/tcp":  "retrans-legality",
+}
+
+// TestOracleBackgroundMatrix is TestOracleMatrix for the §VI-C scenario:
+// every protocol beside two long flows, clean and under every fault class,
+// with the long-flow connections attached to the checker. Every cell but
+// the pinned known findings must be oracle-clean.
+func TestOracleBackgroundMatrix(t *testing.T) {
+	type cell struct {
+		label string
+		opts  BackgroundIncastOptions
+	}
+	var cells []cell
+	for _, faulted := range []bool{false, true} {
+		for _, p := range Protocols {
+			o := DefaultBackgroundIncastOptions(p, 16)
+			o.Incast.RTOMin = 10 * sim.Millisecond
+			o.Incast.Rounds = 6
+			o.Incast.WarmupRounds = 1
+			o.Incast.MaxSimTime = 20 * sim.Second
+			o.Incast.Oracle = true
+			label := "none/" + p.String()
+			if faulted {
+				g := fault.DefaultGenConfig(11)
+				g.Classes = fault.AllClasses()
+				o.Incast.Faults = &g
+				label = "all/" + p.String()
+			}
+			cells = append(cells, cell{label, o})
+		}
+	}
+	results := fanOut(cells, func(c cell) BackgroundIncastResult { return RunBackgroundIncast(c.opts) })
+	for i, res := range results {
+		label := cells[i].label
+		if res.OracleViolations == nil {
+			t.Errorf("%s: the oracle did not run", label)
+		}
+		if cells[i].opts.Incast.Faults != nil && (res.FaultStats == nil || res.FaultStats.EventsFired == 0) {
+			t.Errorf("%s: no fault events fired; the cell is vacuous", label)
+		}
+		if rule, known := bgKnownFinding[label]; known {
+			if res.OracleTotal == 0 {
+				t.Errorf("%s: known %s finding no longer reproduces; if it was fixed, "+
+					"drop the cell from bgKnownFinding", label, rule)
+			}
+			for _, v := range res.OracleViolations {
+				if v.Rule != rule {
+					t.Errorf("%s: violation outside the known %s finding: %v", label, rule, v)
+				}
+			}
+			continue
+		}
+		failViolations(t, label, res.IncastResult)
+	}
+}
+
 // TestOracleResilienceReportScale pins the cmd/report resilience operating
 // point (N=150, RTOmin 10ms): at this fan-in the stall fault makes RTOs
 // fire while the timed-out window still sits queued at worker uplinks, and

@@ -4,43 +4,24 @@ import (
 	"dctcpplus/internal/sweep/pool"
 )
 
-// Parallelism controls how many experiment points run concurrently in the
-// *Parallel sweep variants. Each point is an independent, fully
-// deterministic simulation, so running them on separate goroutines changes
-// wall-clock time only — never results. The fan-out itself is the shared
-// worker pool in internal/sweep/pool; this variable only sets its width for
-// the exp-level sweeps (internal/sweep's Runner has its own Workers knob).
+// Parallelism controls how many experiment points RunMany and the figure
+// specs run concurrently. Each point is an independent, fully deterministic
+// simulation, so running them on separate goroutines changes wall-clock
+// time only — never results. The fan-out itself is the shared worker pool
+// in internal/sweep/pool; this variable only sets its width for the
+// exp-level batches (internal/sweep's Runner has its own Workers knob).
 var Parallelism = pool.DefaultWorkers()
 
-// SweepIncastParallel is SweepIncast with the points executed concurrently.
-// Results are positionally identical to the sequential sweep.
-func SweepIncastParallel(base IncastOptions, flowCounts []int) []IncastResult {
-	out := make([]IncastResult, len(flowCounts))
-	pool.ForEach(Parallelism, len(flowCounts), func(i int) {
-		o := base
-		o.Flows = flowCounts[i]
-		out[i] = RunIncast(o)
+// fanOut applies run to every point on the shared pool and returns the
+// results positionally: identical to a plain loop, at any width.
+func fanOut[O, R any](points []O, run func(O) R) []R {
+	out := make([]R, len(points))
+	pool.ForEach(Parallelism, len(points), func(i int) {
+		out[i] = run(points[i])
 	})
 	return out
 }
 
-// SweepBackgroundIncastParallel is SweepBackgroundIncast with the points
-// executed concurrently.
-func SweepBackgroundIncastParallel(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	out := make([]BackgroundIncastResult, len(flowCounts))
-	pool.ForEach(Parallelism, len(flowCounts), func(i int) {
-		o := base
-		o.Incast.Flows = flowCounts[i]
-		out[i] = RunBackgroundIncast(o)
-	})
-	return out
-}
-
-// RunMany executes a batch of heterogeneous incast points concurrently.
-func RunMany(optList []IncastOptions) []IncastResult {
-	out := make([]IncastResult, len(optList))
-	pool.ForEach(Parallelism, len(optList), func(i int) {
-		out[i] = RunIncast(optList[i])
-	})
-	return out
-}
+// RunMany executes a batch of heterogeneous incast points concurrently;
+// results are positional and identical to a plain loop over RunIncast.
+func RunMany(optList []IncastOptions) []IncastResult { return fanOut(optList, RunIncast) }

@@ -1,41 +1,41 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 )
 
+// TestParallelSweepMatchesSequential pins the fan-out contract: RunMany
+// rides the shared pool (internal/sweep/pool), and its results must equal a
+// plain loop over RunIncast, position for position.
 func TestParallelSweepMatchesSequential(t *testing.T) {
-	base := fastIncastOpts(ProtoDCTCPPlus, 0)
-	counts := []int{4, 8, 12}
-	seq := SweepIncast(base, counts)
-	par := SweepIncastParallel(base, counts)
-	if len(seq) != len(par) {
-		t.Fatal("length mismatch")
+	var optList []IncastOptions
+	for _, n := range []int{4, 8, 12} {
+		optList = append(optList, fastIncastOpts(ProtoDCTCPPlus, n))
 	}
-	for i := range seq {
-		if seq[i].GoodputMbps != par[i].GoodputMbps ||
-			seq[i].FCTms != par[i].FCTms ||
-			seq[i].Timeouts != par[i].Timeouts {
-			t.Errorf("point %d differs: seq %+v vs par %+v", i, seq[i].GoodputMbps, par[i].GoodputMbps)
-		}
+	var seq []IncastResult
+	for _, o := range optList {
+		seq = append(seq, RunIncast(o))
+	}
+	if par := RunMany(optList); !reflect.DeepEqual(par, seq) {
+		t.Error("RunMany differs from the sequential RunIncast loop")
 	}
 }
 
 // TestParallelismOneMatchesDefault pins the consolidation contract: the
-// exp-level sweeps ride the shared pool (internal/sweep/pool), and results
-// must be independent of its width.
+// exp-level fan-out rides the shared pool, and results must be independent
+// of its width.
 func TestParallelismOneMatchesDefault(t *testing.T) {
-	base := fastIncastOpts(ProtoDCTCP, 0)
-	counts := []int{4, 8}
-	wide := SweepIncastParallel(base, counts)
+	optList := []IncastOptions{
+		fastIncastOpts(ProtoDCTCP, 4),
+		fastIncastOpts(ProtoDCTCP, 8),
+	}
+	wide := RunMany(optList)
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	narrow := SweepIncastParallel(base, counts)
-	for i := range wide {
-		if wide[i].GoodputMbps != narrow[i].GoodputMbps || wide[i].Timeouts != narrow[i].Timeouts {
-			t.Errorf("point %d differs across pool widths", i)
-		}
+	if narrow := RunMany(optList); !reflect.DeepEqual(narrow, wide) {
+		t.Error("RunMany results differ across pool widths")
 	}
 }
 
@@ -57,11 +57,15 @@ func TestRunMany(t *testing.T) {
 }
 
 func TestParallelBackgroundSweep(t *testing.T) {
-	o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, 0)
-	o.Incast.Rounds = 5
-	o.Incast.WarmupRounds = 1
-	o.ChunkBytes = 1 << 20
-	rs := SweepBackgroundIncastParallel(o, []int{4, 6})
+	var optList []BackgroundIncastOptions
+	for _, n := range []int{4, 6} {
+		o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, n)
+		o.Incast.Rounds = 5
+		o.Incast.WarmupRounds = 1
+		o.ChunkBytes = 1 << 20
+		optList = append(optList, o)
+	}
+	rs := fanOut(optList, RunBackgroundIncast)
 	if len(rs) != 2 || rs[0].Flows != 4 || rs[1].Flows != 6 {
 		t.Fatal("shape wrong")
 	}
