@@ -1,9 +1,13 @@
 # Developer entry points. `make check` is the gate every change must pass:
-# build + vet + gofmt drift + simlint + race-enabled tests.
+# build + vet + gofmt drift + simlint + race-enabled tests, plus the runs
+# `go test -race ./...` cannot do: the checkdebug-tagged packet tests, the
+# sweep cache replay and the incast command's oracle gate. It runs each
+# test once; the *-smoke targets that only select tests `race` already runs
+# stay for standalone use.
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint lint-fix-check typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke baseline clean
+.PHONY: all build vet test race fmt-check lint lint-fix-check typestate-smoke packet-checkdebug check bench alloc-check fault-smoke sweep-smoke oracle-smoke oracle-e2e baseline clean
 
 all: check
 
@@ -49,12 +53,16 @@ lint-fix-check:
 # clean Port->Link->Host hand-off), then the packet pool's checkdebug
 # poison tests — the runtime tripwire behind the static exactly-once-free
 # proof — in both build-tag modes.
-typestate-smoke:
+typestate-smoke: packet-checkdebug
 	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
-	$(GO) test -tags checkdebug ./internal/packet
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint lint-fix-check typestate-smoke race fault-smoke sweep-smoke oracle-smoke
+# The packet pool's poison tests under the checkdebug build tag, which no
+# untagged test run compiles.
+packet-checkdebug:
+	$(GO) test -tags checkdebug ./internal/packet
+
+check: build vet fmt-check lint race packet-checkdebug sweep-smoke oracle-e2e
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than
@@ -84,21 +92,25 @@ sweep-smoke:
 		diff "$$dir/first.tbl" "$$dir/second.tbl"; exit 1; }; \
 	echo "sweep-smoke: 8/8 cache hits, aggregates byte-identical"
 
-# Trace-oracle conformance smoke: the rule-level oracle tests, the full
-# protocol × fault-class matrices (TestOracleMatrix and its background
-# sibling TestOracleBackgroundMatrix, which pins TCP's known finding) and
-# the metamorphic harness must run violation-free, then the incast
-# command's -oracle gate must pass a faulted multi-protocol sweep end to
-# end. On violation the
-# command writes the minimized event-window trace to $(ORACLE_TRACE),
-# which CI uploads as the failure artifact.
-ORACLE_TRACE ?= oracle-violations.txt
-oracle-smoke:
+# Trace-oracle conformance smoke: the incast command's -oracle gate
+# (oracle-e2e), then the rule-level oracle tests, the full protocol ×
+# fault-class matrices (TestOracleMatrix and its background sibling
+# TestOracleBackgroundMatrix, which pins TCP's known finding) and the
+# metamorphic harness must run violation-free.
+oracle-smoke: oracle-e2e
 	$(GO) test ./internal/oracle
 	$(GO) test -run 'Oracle' ./internal/exp ./internal/sweep
+	@echo "oracle-smoke: protocol x fault matrix oracle-clean"
+
+# The incast command's -oracle gate must pass a faulted multi-protocol
+# sweep end to end. On violation the command writes the minimized
+# event-window trace to $(ORACLE_TRACE), which CI uploads as the failure
+# artifact.
+ORACLE_TRACE ?= oracle-violations.txt
+oracle-e2e:
 	$(GO) run ./cmd/incast -protocols tcp,dctcp,dctcp+,d2tcp+ -flows 48 \
 		-rounds 4 -warmup 1 -faults all -oracle -oracle-trace $(ORACLE_TRACE) >/dev/null
-	@echo "oracle-smoke: protocol x fault matrix oracle-clean"
+	@echo "oracle-e2e: incast -oracle gate clean"
 
 # Benchmarks with the alloc column: the sim, netsim and tcp hot paths must
 # report 0 allocs/op (the AllocsPerRun tests in those packages pin it).

@@ -1,21 +1,24 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§VI), plus the ablations called out in DESIGN.md. Each benchmark runs a
-// scaled-down but shape-preserving configuration (fewer rounds / flow
-// counts than the paper's 1000-round sweeps — the cmd/ tools expose full
-// scale) and reports the headline metrics via b.ReportMetric; the
-// rows/series the paper reports are printed once per benchmark run.
+// (§VI), plus the ablations called out in DESIGN.md. Each figure benchmark
+// runs the figure's spec (internal/exp/figures.go) at a scaled-down but
+// shape-preserving configuration (fewer rounds / flow counts than the
+// paper's 1000-round sweeps; cmd/report and the facade's NewFigureN
+// constructors run any scale) and reports the headline metrics via
+// b.ReportMetric; the spec's Render output is printed once per benchmark
+// run.
 //
 // Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -run '^$' -bench=BenchmarkFig14 -benchtime=1x   # one figure
 package dctcpplus_test
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"sync"
-
 	"testing"
 
 	dcp "dctcpplus"
@@ -28,13 +31,8 @@ const (
 	benchWarmup = 6
 )
 
-// benchFigure runs a figure spec at the bench scale over flowCounts.
-func benchFigure(f *dcp.Figure7, flowCounts []int) []dcp.IncastResult {
-	f.Scale = dcp.Scale{Rounds: benchRounds, Warmup: benchWarmup, Seed: 1}
-	f.FlowCounts = flowCounts
-	f.Run()
-	return f.Results
-}
+// benchScale is the run length the figure specs use under the benchmarks.
+var benchScale = dcp.Scale{Rounds: benchRounds, Warmup: benchWarmup, Seed: 1}
 
 func fastOpts(p dcp.Protocol, n int) dcp.IncastOptions {
 	o := dcp.DefaultIncastOptions(p, n)
@@ -52,20 +50,29 @@ func dumpOnce(key string, f func()) {
 	}
 }
 
+// runFigure runs a figure spec and prints its rendered rows once.
+func runFigure(key, title string, f interface {
+	Run()
+	Render(w io.Writer)
+}) {
+	f.Run()
+	dumpOnce(key, func() {
+		fmt.Printf("\n=== %s ===\n", title)
+		f.Render(os.Stdout)
+	})
+}
+
 // BenchmarkFig1_IncastDCTCPvsTCP regenerates Figure 1: goodput of DCTCP and
 // TCP as the number of concurrent flows grows. Expected shape: TCP
 // collapses past ~10 flows, DCTCP past ~35-40.
 func BenchmarkFig1_IncastDCTCPvsTCP(b *testing.B) {
-	flowCounts := []int{1, 5, 10, 20, 40, 60, 80}
 	for i := 0; i < b.N; i++ {
-		all := benchFigure(dcp.NewFigure1(), flowCounts)
-		dumpOnce("fig1", func() {
-			fmt.Println("\n=== Figure 1: goodput vs concurrent flows (DCTCP, TCP) ===")
-			dcp.PrintIncastRows(os.Stdout, all)
-		})
+		f := dcp.NewFigure1(benchScale)
+		f.FlowCounts = []int{1, 5, 10, 20, 40, 60, 80}
+		runFigure("fig1", "Figure 1: goodput vs concurrent flows (DCTCP, TCP)", f)
 		// Headline: DCTCP goodput at N=40 (last point before its collapse)
 		// and at N=60 (after).
-		for _, r := range all {
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 40 {
 				b.ReportMetric(r.GoodputMbps.Mean, "dctcp40_mbps")
 			}
@@ -82,38 +89,11 @@ func BenchmarkFig1_IncastDCTCPvsTCP(b *testing.B) {
 // mass piles onto 2 MSS (the floor) with a growing cwnd=1 (timeout) share.
 func BenchmarkFig2_CwndDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		type row struct {
-			p dcp.Protocol
-			n int
-			r dcp.IncastResult
-		}
-		var rows []row
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			for _, n := range []int{10, 20, 40, 60} {
-				o := fastOpts(p, n)
-				o.CollectCwnd = true
-				rows = append(rows, row{p, n, dcp.RunIncast(o)})
-			}
-		}
-		dumpOnce("fig2", func() {
-			fmt.Println("\n=== Figure 2: cwnd frequency distribution (fraction of ACK events) ===")
-			fmt.Printf("%-8s %4s | %6s %6s %6s %6s %8s\n",
-				"proto", "N", "w=1", "w=2", "w=3-8", "w>8", "events")
-			for _, rw := range rows {
-				h := rw.r.CwndHist
-				var gt8 float64
-				for _, bin := range h.Bins() {
-					if bin > 8 {
-						gt8 += h.Frac(bin)
-					}
-				}
-				fmt.Printf("%-8s %4d | %6.3f %6.3f %6.3f %6.3f %8d\n",
-					rw.p, rw.n, h.Frac(1), h.Frac(2), h.FracRange(3, 8), gt8, h.Total())
-			}
-		})
-		for _, rw := range rows {
-			if rw.p == dcp.ProtoDCTCP && rw.n == 40 {
-				b.ReportMetric(rw.r.CwndHist.FracRange(1, 2), "dctcp40_frac_w1to2")
+		f := dcp.NewFigure2Table1(benchScale)
+		runFigure("fig2", "Figure 2 + Table I: cwnd distribution and timeout taxonomy", f)
+		for _, r := range f.Results {
+			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 40 {
+				b.ReportMetric(r.CwndHist.FracRange(1, 2), "dctcp40_frac_w1to2")
 			}
 		}
 	}
@@ -126,38 +106,12 @@ func BenchmarkFig2_CwndDistribution(b *testing.B) {
 // with N; FLoss-TO's share grows with synchronization.
 func BenchmarkTable1_TimeoutTaxonomy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		type row struct {
-			p dcp.Protocol
-			n int
-			r dcp.IncastResult
-		}
-		var rows []row
-		for _, n := range []int{20, 40, 60} {
-			for _, p := range []dcp.Protocol{dcp.ProtoDCTCP, dcp.ProtoTCP} {
-				o := fastOpts(p, n)
-				o.CollectCwnd = true
-				rows = append(rows, row{p, n, dcp.RunIncast(o)})
-			}
-		}
-		dumpOnce("table1", func() {
-			fmt.Println("\n=== Table I: floor/ECE coincidence and timeout taxonomy ===")
-			fmt.Printf("%-8s %4s | %12s %10s %10s %10s\n",
-				"proto", "N", "cwndMin&ECE", "timeout", "FLoss-TO", "LAck-TO")
-			for _, rw := range rows {
-				total := rw.r.FLossTO + rw.r.LAckTO
-				fl, la := 0.0, 0.0
-				if total > 0 {
-					fl = float64(rw.r.FLossTO) / float64(total)
-					la = float64(rw.r.LAckTO) / float64(total)
-				}
-				fmt.Printf("%-8s %4d | %11.2f%% %9.2f%% %9.2f%% %9.2f%%\n",
-					rw.p, rw.n, 100*rw.r.MinCwndECEFrac, 100*rw.r.TimeoutRoundFrac,
-					100*fl, 100*la)
-			}
-		})
-		for _, rw := range rows {
-			if rw.p == dcp.ProtoDCTCP && rw.n == 40 {
-				b.ReportMetric(100*rw.r.TimeoutRoundFrac, "dctcp40_timeout_pct")
+		f := dcp.NewFigure2Table1(benchScale)
+		f.FlowCounts = []int{20, 40, 60}
+		runFigure("table1", "Table I: floor/ECE coincidence and timeout taxonomy", f)
+		for _, r := range f.Results {
+			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 40 {
+				b.ReportMetric(100*r.TimeoutRoundFrac, "dctcp40_timeout_pct")
 			}
 		}
 	}
@@ -168,16 +122,12 @@ func BenchmarkTable1_TimeoutTaxonomy(b *testing.B) {
 // up past DCTCP's collapse point but degrades again at high N, where the
 // still-synchronized bursts defeat pure rate reduction.
 func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
-	flowCounts := []int{20, 40, 60, 80, 120, 160}
 	for i := 0; i < b.N; i++ {
-		f := dcp.NewFigure6()
+		f := dcp.NewFigure6(benchScale)
 		f.Protocols = []dcp.Protocol{dcp.ProtoDCTCPPlusPartial}
-		partial := benchFigure(f, flowCounts)
-		dumpOnce("fig6", func() {
-			fmt.Println("\n=== Figure 6: partially implemented DCTCP+ (no desynchronization) ===")
-			dcp.PrintIncastRows(os.Stdout, partial)
-		})
-		b.ReportMetric(partial[len(partial)-1].GoodputMbps.Mean, "partial_atN160_mbps")
+		f.FlowCounts = []int{20, 40, 60, 80, 120, 160}
+		runFigure("fig6", "Figure 6: partially implemented DCTCP+ (no desynchronization)", f)
+		b.ReportMetric(f.Results[len(f.Results)-1].GoodputMbps.Mean, "partial_atN160_mbps")
 	}
 }
 
@@ -185,14 +135,10 @@ func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
 // Expected shape: DCTCP+ sustains high goodput and low FCT to 200 flows
 // while DCTCP and TCP sit in RTO-dominated collapse.
 func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
-	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		all := benchFigure(dcp.NewFigure7(), flowCounts)
-		dumpOnce("fig7", func() {
-			fmt.Println("\n=== Figure 7: full DCTCP+ vs DCTCP vs TCP ===")
-			dcp.PrintIncastRows(os.Stdout, all)
-		})
-		for _, r := range all {
+		f := dcp.NewFigure7(benchScale)
+		runFigure("fig7", "Figure 7: full DCTCP+ vs DCTCP vs TCP", f)
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 200 {
 				b.ReportMetric(r.GoodputMbps.Mean, "plus200_mbps")
 				b.ReportMetric(r.FCTms.Mean, "plus200_fct_ms")
@@ -206,14 +152,10 @@ func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
 // the short RTO lifts DCTCP/TCP off the floor but DCTCP+ still wins without
 // touching the timer.
 func BenchmarkFig8_RTO10ms(b *testing.B) {
-	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		all := benchFigure(dcp.NewFigure8(), flowCounts)
-		dumpOnce("fig8", func() {
-			fmt.Println("\n=== Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms ===")
-			dcp.PrintIncastRows(os.Stdout, all)
-		})
-		for _, r := range all {
+		f := dcp.NewFigure8(benchScale)
+		runFigure("fig8", "Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms", f)
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 200 {
 				b.ReportMetric(r.GoodputMbps.Mean, "dctcp10ms200_mbps")
 			}
@@ -227,32 +169,11 @@ func BenchmarkFig8_RTO10ms(b *testing.B) {
 // gap widening as N grows.
 func BenchmarkFig9_QueueCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		type row struct {
-			p dcp.Protocol
-			n int
-			r dcp.IncastResult
-		}
-		var rows []row
-		for _, n := range []int{30, 50, 80} {
-			for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-				o := fastOpts(p, n)
-				o.QueueSampleEvery = 100 * dcp.Microsecond
-				rows = append(rows, row{p, n, dcp.RunIncast(o)})
-			}
-		}
-		dumpOnce("fig9", func() {
-			fmt.Println("\n=== Figure 9: bottleneck queue-length CDF (bytes) ===")
-			fmt.Printf("%-14s %4s | %9s %9s %9s %9s\n", "proto", "N", "p50", "p90", "p99", "max")
-			for _, rw := range rows {
-				cdf := rw.r.QueueCDF()
-				fmt.Printf("%-14s %4d | %9.0f %9.0f %9.0f %9.0f\n",
-					rw.p, rw.n, cdf.Quantile(0.5), cdf.Quantile(0.9),
-					cdf.Quantile(0.99), cdf.Quantile(1))
-			}
-		})
-		for _, rw := range rows {
-			if rw.p == dcp.ProtoDCTCPPlus && rw.n == 80 {
-				b.ReportMetric(rw.r.QueueCDF().Quantile(0.5), "plus80_q50_bytes")
+		f := dcp.NewFigure9(benchScale)
+		runFigure("fig9", "Figure 9: bottleneck queue-length CDF (bytes)", f)
+		for _, r := range f.Results {
+			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 80 {
+				b.ReportMetric(r.QueueCDF().Quantile(0.5), "plus80_q50_bytes")
 			}
 		}
 	}
@@ -264,21 +185,14 @@ func BenchmarkFig9_QueueCDF(b *testing.B) {
 // goodput and far shorter FCT than DCTCP/TCP; the long flows still get a
 // fair share.
 func BenchmarkFig11_12_BackgroundIncast(b *testing.B) {
-	// The RTO-collapsed baselines make these the slowest points in the
-	// suite; the bench keeps a reduced sweep (cmd/report runs the full
-	// figure).
-	flowCounts := []int{20, 80}
 	for i := 0; i < b.N; i++ {
-		f := dcp.NewFigure11_12()
-		f.Scale = dcp.Scale{Rounds: 16, Warmup: 4, Seed: 1}
-		f.FlowCounts = flowCounts
-		f.Run()
-		all := f.Results
-		dumpOnce("fig11", func() {
-			fmt.Println("\n=== Figures 11+12: incast with background long flows ===")
-			dcp.PrintBackgroundIncastRows(os.Stdout, all)
-		})
-		for _, r := range all {
+		// The RTO-collapsed baselines make these the slowest points in the
+		// suite; the bench keeps a reduced sweep (cmd/report runs the full
+		// figure).
+		f := dcp.NewFigure11_12(dcp.Scale{Rounds: 16, Warmup: 4, Seed: 1})
+		f.FlowCounts = []int{20, 80}
+		runFigure("fig11", "Figures 11+12: incast with background long flows", f)
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 80 {
 				b.ReportMetric(r.GoodputMbps.Mean, "plus80bg_mbps")
 				b.ReportMetric(r.LongFlowMbps.Mean, "longflow_mbps")
@@ -294,20 +208,11 @@ func BenchmarkFig11_12_BackgroundIncast(b *testing.B) {
 // affected.
 func BenchmarkFig13_BenchmarkTraffic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		var all []dcp.BenchmarkResult
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP} {
-			o := dcp.DefaultBenchmarkOptions(p)
-			o.Traffic.Queries = 300
-			o.Traffic.ShortFlows = 75
-			o.Traffic.BackgroundFlows = 300
-			all = append(all, dcp.RunBenchmark(o))
-		}
-		dumpOnce("fig13", func() {
-			fmt.Println("\n=== Figure 13: benchmark traffic FCT (queries / background) ===")
-			dcp.PrintBenchmarkRows(os.Stdout, all)
-		})
-		b.ReportMetric(all[0].QueryFCTms.P99, "plus_q99_ms")
-		b.ReportMetric(all[1].QueryFCTms.P99, "dctcp_q99_ms")
+		f := dcp.NewFigure13(benchScale)
+		f.Queries, f.Background = 300, 300
+		runFigure("fig13", "Figure 13: benchmark traffic FCT (queries / background)", f)
+		b.ReportMetric(f.Results[0].QueryFCTms.P99, "plus_q99_ms")
+		b.ReportMetric(f.Results[1].QueryFCTms.P99, "dctcp_q99_ms")
 	}
 }
 
@@ -317,32 +222,10 @@ func BenchmarkFig13_BenchmarkTraffic(b *testing.B) {
 // regulation converges and the queue stays clear of the 128KB limit.
 func BenchmarkFig14_ConvergenceTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 50)
-		o.BytesPerFlow = 4 << 20
-		o.Rounds = 6
-		o.WarmupRounds = 1
-		o.QueueSampleEvery = 100 * dcp.Microsecond
-		r := dcp.RunIncast(o)
-		dumpOnce("fig14", func() {
-			fmt.Println("\n=== Figure 14: queue occupancy over time, N=50 x 4MB (1ms bins, max bytes) ===")
-			// Coarse time series: max occupancy per 50ms bin.
-			const bin = 50 * dcp.Millisecond
-			var cur, binIdx int
-			for _, s := range r.QueueSamples {
-				idx := int(dcp.Duration(s.At) / bin)
-				for idx > binIdx {
-					fmt.Printf("t=%4dms max_queue=%6d bytes\n", binIdx*50, cur)
-					binIdx++
-					cur = 0
-				}
-				if s.Bytes > cur {
-					cur = s.Bytes
-				}
-			}
-			fmt.Printf("t=%4dms max_queue=%6d bytes\n", binIdx*50, cur)
-			fmt.Printf("drops(total)=%d timeouts(total)=%d\n", r.BottleneckDrops, r.Timeouts)
-		})
-		b.ReportMetric(float64(r.BottleneckDrops), "drops")
+		f := dcp.NewFigure14(benchScale)
+		f.Rounds = 6
+		runFigure("fig14", "Figure 14: per-round FCT, goodput and peak queue, N=50 x 4MB", f)
+		b.ReportMetric(float64(f.Result.BottleneckDrops), "drops")
 	}
 }
 

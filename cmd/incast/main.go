@@ -24,11 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cliflag"
 )
 
 func main() {
@@ -63,11 +62,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "incast:", err)
 		os.Exit(2)
 	}
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
+	if err := cliflag.ValidateSweep(*jobs, *cacheDir, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)
 		os.Exit(2)
 	}
-	if err := validateOracleFlags(*oracle, *oracleTrace); err != nil {
+	if err := cliflag.ValidateOracle(*oracle, *oracleTrace); err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)
 		os.Exit(2)
 	}
@@ -84,7 +83,7 @@ func main() {
 		reg = dcp.NewRegistry()
 	}
 
-	flowCounts, err := parseInts(*flows)
+	flowCounts, err := cliflag.PositiveInts(*flows)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "incast:", err)
 		os.Exit(2)
@@ -92,7 +91,7 @@ func main() {
 
 	spec := dcp.SweepSpec{
 		Name:         "incast",
-		Protocols:    splitCSV(*protocols),
+		Protocols:    cliflag.SplitCSV(*protocols),
 		Flows:        flowCounts,
 		RTOMins:      []dcp.Duration{dcp.Duration(*rtoMin)},
 		Seeds:        []uint64{*seed},
@@ -153,49 +152,8 @@ func main() {
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {
-			failOracle("incast", total, lines, *oracleTrace)
+			cliflag.FailOracle("incast", total, lines, *oracleTrace)
 		}
 		fmt.Printf("oracle: clean (%d points)\n", len(out.Results))
 	}
-}
-
-// failOracle renders the sweep's conformance violations to stderr — and to
-// the -oracle-trace file, which CI uploads as the failure artifact — then
-// exits nonzero.
-func failOracle(tool string, total int64, lines []string, trace string) {
-	for _, ln := range lines {
-		fmt.Fprintln(os.Stderr, ln)
-	}
-	if trace != "" {
-		data := strings.Join(lines, "\n") + "\n"
-		if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "%s: oracle trace -> %s\n", tool, trace)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%s: %d oracle violations\n", tool, total)
-	os.Exit(1)
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad flow count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func splitCSV(csv string) []string {
-	var out []string
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"dctcpplus/internal/cliflag/cliflagtest"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -38,42 +40,6 @@ func TestValidateFlags(t *testing.T) {
 				t.Errorf("validateFlags = %v, wantErr=%v", err, c.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseInts(t *testing.T) {
-	cases := []struct {
-		csv     string
-		want    []int
-		wantErr bool
-	}{
-		{"10,20,40", []int{10, 20, 40}, false},
-		{" 1 , 2 ", []int{1, 2}, false},
-		{"200", []int{200}, false},
-		{"", nil, true},
-		{"10,,20", nil, true},
-		{"0", nil, true},
-		{"-3", nil, true},
-		{"ten", nil, true},
-	}
-	for _, c := range cases {
-		got, err := parseInts(c.csv)
-		if (err != nil) != c.wantErr {
-			t.Errorf("parseInts(%q) err = %v, wantErr=%v", c.csv, err, c.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", c.csv, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseInts(%q)[%d] = %d, want %d", c.csv, i, got[i], c.want[i])
-			}
-		}
 	}
 }
 
@@ -117,56 +83,8 @@ func TestParseFaultGen(t *testing.T) {
 	}
 }
 
-func TestValidateSweepFlags(t *testing.T) {
-	parent := t.TempDir()
-	cases := []struct {
-		name     string
-		jobs     int
-		cacheDir string
-		resume   bool
-		wantErr  bool
-	}{
-		{"defaults, no cache", 4, "", false, false},
-		{"single worker", 1, "", false, false},
-		{"cache under existing parent", 2, parent + "/cache", false, false},
-		{"resume with cache", 2, parent + "/cache", true, false},
-		{"zero jobs", 0, "", false, true},
-		{"negative jobs", -3, "", false, true},
-		{"nonexistent cache parent", 2, parent + "/no/such/cache", false, true},
-		{"resume without cache", 2, "", true, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
-					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
-			}
-		})
-	}
-}
-
-func TestValidateOracleFlags(t *testing.T) {
-	parent := t.TempDir()
-	cases := []struct {
-		name    string
-		oracle  bool
-		trace   string
-		wantErr bool
-	}{
-		{"both off", false, "", false},
-		{"oracle without trace", true, "", false},
-		{"oracle with trace", true, parent + "/viol.txt", false},
-		{"trace without oracle", false, parent + "/viol.txt", true},
-		{"nonexistent trace parent", true, parent + "/no/such/viol.txt", true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateOracleFlags(c.oracle, c.trace)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateOracleFlags(%v, %q) = %v, wantErr=%v",
-					c.oracle, c.trace, err, c.wantErr)
-			}
-		})
-	}
-}
+// The shared flag helpers live in internal/cliflag; these run its cases
+// for the helpers this command's flags go through.
+func TestParseInts(t *testing.T)           { cliflagtest.PositiveInts(t) }
+func TestValidateSweepFlags(t *testing.T)  { cliflagtest.ValidateSweep(t) }
+func TestValidateOracleFlags(t *testing.T) { cliflagtest.ValidateOracle(t) }

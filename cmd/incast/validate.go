@@ -2,8 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	dcp "dctcpplus"
@@ -29,43 +27,6 @@ func validateFlags(rounds, warmup int, total, perflow int64, rtoMin, jitter time
 		return fmt.Errorf("-rtomin %v: must be positive", rtoMin)
 	case jitter < 0:
 		return fmt.Errorf("-jitter %v: cannot be negative", jitter)
-	}
-	return nil
-}
-
-// validateSweepFlags rejects orchestration settings the sweep runner
-// cannot honor: the worker pool needs at least one worker, the cache
-// directory's parent must already exist (a typo'd path should fail loudly,
-// not mint a directory tree), and resume without a cache is meaningless.
-func validateSweepFlags(jobs int, cacheDir string, resume bool) error {
-	switch {
-	case jobs < 1:
-		return fmt.Errorf("-jobs %d: need at least one worker", jobs)
-	case resume && cacheDir == "":
-		return fmt.Errorf("-resume: requires -cache-dir (resume replays the cache)")
-	}
-	if cacheDir != "" {
-		parent := filepath.Dir(filepath.Clean(cacheDir))
-		if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
-			return fmt.Errorf("-cache-dir %s: parent directory %s does not exist", cacheDir, parent)
-		}
-	}
-	return nil
-}
-
-// validateOracleFlags ties the trace output to the checker: an -oracle-trace
-// without -oracle would silently never be written, and (like -cache-dir) a
-// typo'd trace path should fail at the flag boundary, not after the sweep.
-func validateOracleFlags(oracle bool, trace string) error {
-	if trace == "" {
-		return nil
-	}
-	if !oracle {
-		return fmt.Errorf("-oracle-trace: requires -oracle (the trace renders oracle violations)")
-	}
-	parent := filepath.Dir(filepath.Clean(trace))
-	if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
-		return fmt.Errorf("-oracle-trace %s: parent directory %s does not exist", trace, parent)
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cliflag"
 )
 
 var (
@@ -56,7 +57,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(2)
 	}
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
+	if err := cliflag.ValidateSweep(*jobs, *cacheDir, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(2)
 	}
@@ -76,47 +77,47 @@ func main() {
 		{
 			"Figure 1: goodput vs concurrent flows (DCTCP, TCP)",
 			"TCP collapses just past 10 flows; DCTCP past ~35",
-			withScale(dcp.NewFigure1(), scale),
+			dcp.NewFigure1(scale),
 		},
 		{
 			"Figure 2 + Table I: cwnd distribution and timeout taxonomy",
 			"N>=20: DCTCP mass piles on 1-2 MSS; floor/ECE coincidence common; FLoss dominates deep collapse",
-			withScale(dcp.NewFigure2Table1(), scale),
+			dcp.NewFigure2Table1(scale),
 		},
 		{
 			"Figure 6: partial (no desync) vs full DCTCP+",
 			"partial holds past DCTCP's limit but trails the full mechanism at high N",
-			withScale(dcp.NewFigure6(), scale),
+			dcp.NewFigure6(scale),
 		},
 		{
 			"Figure 7: full DCTCP+ vs DCTCP vs TCP",
 			"DCTCP+ sustains 600-900 Mbps, 8-17ms FCT beyond 200 flows; DCTCP/TCP sit in RTO collapse",
-			withScale(dcp.NewFigure7(), scale),
+			dcp.NewFigure7(scale),
 		},
 		{
 			"Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms",
 			"short RTO lifts DCTCP/TCP but DCTCP+ still wins without touching the timer",
-			withScale(dcp.NewFigure8(), scale),
+			dcp.NewFigure8(scale),
 		},
 		{
 			"Figure 9: bottleneck queue-length CDF (bytes, 100us samples)",
 			"DCTCP+ keeps a shorter, stabler queue; the gap widens with N",
-			withScale(dcp.NewFigure9(), scale),
+			dcp.NewFigure9(scale),
 		},
 		{
 			"Figures 11 + 12: incast with 2 persistent background flows",
 			"DCTCP+ keeps near-no-background goodput and far shorter FCT; long flows share the residue",
-			withScale(dcp.NewFigure11_12(), scale),
+			dcp.NewFigure11_12(scale),
 		},
 		{
 			"Figure 13: benchmark traffic FCT (queries / background), RTOmin 10ms",
 			"DCTCP+ wins mean and especially p99 query FCT; background barely affected",
-			withSeed13(dcp.NewFigure13(), scale),
+			dcp.NewFigure13(scale),
 		},
 		{
 			"Figure 14: convergence, 50 DCTCP+ flows x 4MB",
 			"buffer overflows during the first rounds, then the regulation converges",
-			withScale14(dcp.NewFigure14(), scale),
+			dcp.NewFigure14(scale),
 		},
 	}
 	for _, st := range steps {
@@ -205,30 +206,6 @@ func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
 		fmt.Printf("baseline manifest -> %s\n", *baseline)
 	}
 	return nil
-}
-
-func withScale[F interface{ figure }](f F, sc dcp.Scale) F {
-	switch v := any(f).(type) {
-	case *dcp.Figure2Table1:
-		v.Scale = sc
-	case *dcp.Figure7:
-		v.Scale = sc
-	case *dcp.Figure9:
-		v.Scale = sc
-	case *dcp.Figure11_12:
-		v.Scale = sc
-	}
-	return f
-}
-
-func withSeed13(f *dcp.Figure13, sc dcp.Scale) *dcp.Figure13 {
-	f.Seed = sc.Seed
-	return f
-}
-
-func withScale14(f *dcp.Figure14, sc dcp.Scale) *dcp.Figure14 {
-	f.Scale = sc
-	return f
 }
 
 // resilience runs the fault-injection sweep behind the EXPERIMENTS.md

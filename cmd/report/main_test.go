@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"dctcpplus/internal/cliflag/cliflagtest"
+)
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
@@ -27,31 +31,6 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestValidateSweepFlags(t *testing.T) {
-	parent := t.TempDir()
-	cases := []struct {
-		name     string
-		jobs     int
-		cacheDir string
-		resume   bool
-		wantErr  bool
-	}{
-		{"defaults, no cache", 4, "", false, false},
-		{"single worker", 1, "", false, false},
-		{"cache under existing parent", 2, parent + "/cache", false, false},
-		{"resume with cache", 2, parent + "/cache", true, false},
-		{"zero jobs", 0, "", false, true},
-		{"negative jobs", -3, "", false, true},
-		{"nonexistent cache parent", 2, parent + "/no/such/cache", false, true},
-		{"resume without cache", 2, "", true, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
-					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
-			}
-		})
-	}
-}
+// The shared flag helpers live in internal/cliflag; these run its cases
+// for the helpers this command's flags go through.
+func TestValidateSweepFlags(t *testing.T) { cliflagtest.ValidateSweep(t) }

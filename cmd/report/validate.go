@@ -1,10 +1,6 @@
 package main
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
 // validateFlags rejects scale settings the battery cannot run: every figure
 // needs at least one measured round after warmup.
@@ -16,27 +12,6 @@ func validateFlags(rounds, warmup int) error {
 		return fmt.Errorf("-warmup %d: cannot be negative", warmup)
 	case warmup >= rounds:
 		return fmt.Errorf("-warmup %d >= -rounds %d: no measured rounds remain", warmup, rounds)
-	}
-	return nil
-}
-
-// validateSweepFlags rejects orchestration settings the sweep-backed
-// sections cannot honor: the worker pool needs at least one worker, the
-// cache directory's parent must already exist (a typo'd path should fail
-// loudly, not mint a directory tree), and resume without a cache is
-// meaningless.
-func validateSweepFlags(jobs int, cacheDir string, resume bool) error {
-	switch {
-	case jobs < 1:
-		return fmt.Errorf("-jobs %d: need at least one worker", jobs)
-	case resume && cacheDir == "":
-		return fmt.Errorf("-resume: requires -cache-dir (resume replays the cache)")
-	}
-	if cacheDir != "" {
-		parent := filepath.Dir(filepath.Clean(cacheDir))
-		if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
-			return fmt.Errorf("-cache-dir %s: parent directory %s does not exist", cacheDir, parent)
-		}
 	}
 	return nil
 }

@@ -18,10 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cliflag"
 )
 
 func main() {
@@ -55,11 +55,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
+	if err := cliflag.ValidateSweep(*jobs, *cacheDir, *resume); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	if err := validateOracleFlags(*oracle, *oracleTrace); err != nil {
+	if err := cliflag.ValidateOracle(*oracle, *oracleTrace); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
@@ -125,29 +125,10 @@ func main() {
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {
-			failOracle(total, lines, *oracleTrace)
+			cliflag.FailOracle("sweep", total, lines, *oracleTrace)
 		}
 		fmt.Printf("oracle: clean (%d jobs)\n", len(out.Results))
 	}
-}
-
-// failOracle renders the sweep's conformance violations to stderr — and to
-// the -oracle-trace file, which CI uploads as the failure artifact — then
-// exits nonzero.
-func failOracle(total int64, lines []string, trace string) {
-	for _, ln := range lines {
-		fmt.Fprintln(os.Stderr, ln)
-	}
-	if trace != "" {
-		data := strings.Join(lines, "\n") + "\n"
-		if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "sweep: oracle trace -> %s\n", trace)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "sweep: %d oracle violations\n", total)
-	os.Exit(1)
 }
 
 func hitRate(out *dcp.SweepOutcome) float64 {

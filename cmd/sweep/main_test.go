@@ -5,61 +5,8 @@ import (
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cliflag/cliflagtest"
 )
-
-func TestValidateSweepFlags(t *testing.T) {
-	parent := t.TempDir()
-	cases := []struct {
-		name     string
-		jobs     int
-		cacheDir string
-		resume   bool
-		wantErr  bool
-	}{
-		{"defaults, no cache", 4, "", false, false},
-		{"single worker", 1, "", false, false},
-		{"cache under existing parent", 2, parent + "/cache", false, false},
-		{"resume with cache", 2, parent + "/cache", true, false},
-		{"zero jobs", 0, "", false, true},
-		{"negative jobs", -3, "", false, true},
-		{"nonexistent cache parent", 2, parent + "/no/such/cache", false, true},
-		{"resume without cache", 2, "", true, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
-					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
-			}
-		})
-	}
-}
-
-func TestValidateOracleFlags(t *testing.T) {
-	parent := t.TempDir()
-	cases := []struct {
-		name    string
-		oracle  bool
-		trace   string
-		wantErr bool
-	}{
-		{"both off", false, "", false},
-		{"oracle without trace", true, "", false},
-		{"oracle with trace", true, parent + "/viol.txt", false},
-		{"trace without oracle", false, parent + "/viol.txt", true},
-		{"nonexistent trace parent", true, parent + "/no/such/viol.txt", true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateOracleFlags(c.oracle, c.trace)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateOracleFlags(%v, %q) = %v, wantErr=%v",
-					c.oracle, c.trace, err, c.wantErr)
-			}
-		})
-	}
-}
 
 func TestBuildSpec(t *testing.T) {
 	spec, err := buildSpec("t", "dctcp+,dctcp", "40,80", "200ms,10ms", "1,2,3",
@@ -101,3 +48,8 @@ func TestBuildSpec(t *testing.T) {
 		}
 	}
 }
+
+// The shared flag helpers live in internal/cliflag; these run its cases
+// for the helpers this command's flags go through.
+func TestValidateSweepFlags(t *testing.T)  { cliflagtest.ValidateSweep(t) }
+func TestValidateOracleFlags(t *testing.T) { cliflagtest.ValidateOracle(t) }

@@ -2,58 +2,20 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cliflag"
 )
-
-// validateSweepFlags rejects orchestration settings the runner cannot
-// honor: a worker pool needs at least one worker, a cache needs a creatable
-// directory (its parent must exist — a typo'd path should fail loudly, not
-// mint a directory tree), and resume is meaningless without a cache.
-func validateSweepFlags(jobs int, cacheDir string, resume bool) error {
-	switch {
-	case jobs < 1:
-		return fmt.Errorf("-jobs %d: need at least one worker", jobs)
-	case resume && cacheDir == "":
-		return fmt.Errorf("-resume: requires -cache-dir (resume replays the cache)")
-	}
-	if cacheDir != "" {
-		parent := filepath.Dir(filepath.Clean(cacheDir))
-		if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
-			return fmt.Errorf("-cache-dir %s: parent directory %s does not exist", cacheDir, parent)
-		}
-	}
-	return nil
-}
-
-// validateOracleFlags ties the trace output to the checker: an -oracle-trace
-// without -oracle would silently never be written, and (like -cache-dir) a
-// typo'd trace path should fail at the flag boundary, not after the sweep.
-func validateOracleFlags(oracle bool, trace string) error {
-	if trace == "" {
-		return nil
-	}
-	if !oracle {
-		return fmt.Errorf("-oracle-trace: requires -oracle (the trace renders oracle violations)")
-	}
-	parent := filepath.Dir(filepath.Clean(trace))
-	if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
-		return fmt.Errorf("-oracle-trace %s: parent directory %s does not exist", trace, parent)
-	}
-	return nil
-}
 
 // buildSpec assembles the declarative grid from the flag surface. The
 // Spec's own Validate (run by the runner) is the semantic gate; this layer
 // only parses.
 func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 	faultSeed uint64, rounds, warmup int, total, per int64, jitter time.Duration) (dcp.SweepSpec, error) {
-	flowCounts, err := parsePositiveInts(flows)
+	flowCounts, err := cliflag.PositiveInts(flows)
 	if err != nil {
 		return dcp.SweepSpec{}, err
 	}
@@ -67,11 +29,11 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 	}
 	return dcp.SweepSpec{
 		Name:         name,
-		Protocols:    splitCSV(protocols),
+		Protocols:    cliflag.SplitCSV(protocols),
 		Flows:        flowCounts,
 		RTOMins:      rtoMins,
 		Seeds:        seedList,
-		Topos:        splitCSV(topos),
+		Topos:        cliflag.SplitCSV(topos),
 		Faults:       parseFaultPlans(faults),
 		FaultSeed:    faultSeed,
 		Rounds:       rounds,
@@ -80,16 +42,6 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 		BytesPerFlow: per,
 		Jitter:       dcp.Duration(jitter),
 	}, nil
-}
-
-func splitCSV(csv string) []string {
-	var out []string
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // parseFaultPlans splits the semicolon-separated plan list, mapping the
@@ -104,18 +56,6 @@ func parseFaultPlans(spec string) []string {
 		out = append(out, plan)
 	}
 	return out
-}
-
-func parsePositiveInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad flow count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func parseUints(csv string) ([]uint64, error) {

@@ -328,8 +328,9 @@ func PrintResilienceRows(w io.Writer, protocols []Protocol, rows []ResilienceRow
 	exp.PrintResilienceRows(w, protocols, rows)
 }
 
-// Typed per-figure experiments: construct the spec (NewFigureN), adjust
-// fields, Run, then Render the same rows/series the paper reports.
+// Typed per-figure experiments: construct the spec at a scale
+// (NewFigureN), adjust fields, Run, then Render the same rows/series the
+// paper reports.
 type (
 	// Scale applies common run-length settings to figure specs.
 	Scale = exp.Scale
@@ -351,28 +352,28 @@ type (
 func DefaultScale() Scale { return exp.DefaultScale() }
 
 // NewFigure1 returns the Figure 1 (DCTCP vs TCP goodput) specification.
-func NewFigure1() *Figure7 { return exp.NewFigure1() }
+func NewFigure1(sc Scale) *Figure7 { return exp.NewFigure1(sc) }
 
 // NewFigure2Table1 returns the Figure 2 / Table I specification.
-func NewFigure2Table1() *Figure2Table1 { return exp.NewFigure2Table1() }
+func NewFigure2Table1(sc Scale) *Figure2Table1 { return exp.NewFigure2Table1(sc) }
 
 // NewFigure6 returns the Figure 6 (partial DCTCP+) specification.
-func NewFigure6() *Figure7 { return exp.NewFigure6() }
+func NewFigure6(sc Scale) *Figure7 { return exp.NewFigure6(sc) }
 
 // NewFigure7 returns the Figure 7 specification.
-func NewFigure7() *Figure7 { return exp.NewFigure7() }
+func NewFigure7(sc Scale) *Figure7 { return exp.NewFigure7(sc) }
 
 // NewFigure8 returns the Figure 8 (10ms baseline RTO) specification.
-func NewFigure8() *Figure7 { return exp.NewFigure8() }
+func NewFigure8(sc Scale) *Figure7 { return exp.NewFigure8(sc) }
 
 // NewFigure9 returns the Figure 9 specification.
-func NewFigure9() *Figure9 { return exp.NewFigure9() }
+func NewFigure9(sc Scale) *Figure9 { return exp.NewFigure9(sc) }
 
 // NewFigure11_12 returns the §VI-C specification.
-func NewFigure11_12() *Figure11_12 { return exp.NewFigure11_12() }
+func NewFigure11_12(sc Scale) *Figure11_12 { return exp.NewFigure11_12(sc) }
 
 // NewFigure13 returns the §VI-D specification.
-func NewFigure13() *Figure13 { return exp.NewFigure13() }
+func NewFigure13(sc Scale) *Figure13 { return exp.NewFigure13(sc) }
 
 // NewFigure14 returns the Figure 14 specification.
-func NewFigure14() *Figure14 { return exp.NewFigure14() }
+func NewFigure14(sc Scale) *Figure14 { return exp.NewFigure14(sc) }

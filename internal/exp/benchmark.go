@@ -21,8 +21,8 @@ type BenchmarkOptions struct {
 	MaxSimTime sim.Duration
 }
 
-// DefaultBenchmarkOptions returns a scaled-down §VI-D run; cmd/benchmark
-// exposes the full 7,000+7,000 configuration.
+// DefaultBenchmarkOptions returns a scaled-down §VI-D run; the Figure13
+// spec with Queries = Background = 7000 is the paper-scale configuration.
 func DefaultBenchmarkOptions(p Protocol) BenchmarkOptions {
 	return BenchmarkOptions{
 		Testbed:    DefaultTestbed(),

@@ -9,9 +9,11 @@ import (
 )
 
 // This file packages each of the paper's evaluation artifacts as a typed,
-// self-describing experiment: construct the default spec (or adjust its
-// fields), Run it, and Render the same rows/series the paper reports.
-// cmd/report chains them; tests pin their shapes.
+// self-describing experiment: construct the default spec at a Scale (then
+// adjust its fields if needed), Run it, and Render the same rows/series the
+// paper reports. The specs are the only code that runs each figure:
+// cmd/report chains them, the root benchmarks run them at bench scale, and
+// tests pin their shapes.
 
 // Scale applies common run-length settings to every figure spec.
 type Scale struct {
@@ -45,9 +47,9 @@ type Figure2Table1 struct {
 }
 
 // NewFigure2Table1 returns the paper's Figure 2 / Table I specification.
-func NewFigure2Table1() *Figure2Table1 {
+func NewFigure2Table1(sc Scale) *Figure2Table1 {
 	return &Figure2Table1{
-		Scale:      DefaultScale(),
+		Scale:      sc,
 		Protocols:  []Protocol{ProtoDCTCP, ProtoTCP},
 		FlowCounts: []int{10, 20, 40, 60},
 	}
@@ -118,9 +120,9 @@ type Figure7 struct {
 }
 
 // NewFigure7 returns the paper's Figure 7 specification.
-func NewFigure7() *Figure7 {
+func NewFigure7(sc Scale) *Figure7 {
 	return &Figure7{
-		Scale:      DefaultScale(),
+		Scale:      sc,
 		Protocols:  []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
 		FlowCounts: []int{20, 60, 120, 200},
 	}
@@ -128,23 +130,23 @@ func NewFigure7() *Figure7 {
 
 // NewFigure1 returns Figure 1, the basic incast goodput comparison (DCTCP
 // vs TCP).
-func NewFigure1() *Figure7 {
-	f := NewFigure7()
+func NewFigure1(sc Scale) *Figure7 {
+	f := NewFigure7(sc)
 	f.Protocols = []Protocol{ProtoTCP, ProtoDCTCP}
 	f.FlowCounts = []int{1, 5, 10, 20, 30, 40, 60, 80, 100}
 	return f
 }
 
 // NewFigure6 returns the partial-implementation ablation of Figure 6.
-func NewFigure6() *Figure7 {
-	f := NewFigure7()
+func NewFigure6(sc Scale) *Figure7 {
+	f := NewFigure7(sc)
 	f.Protocols = []Protocol{ProtoDCTCPPlusPartial, ProtoDCTCPPlus}
 	return f
 }
 
 // NewFigure8 returns Figure 8: baselines at RTOmin = 10ms.
-func NewFigure8() *Figure7 {
-	f := NewFigure7()
+func NewFigure8(sc Scale) *Figure7 {
+	f := NewFigure7(sc)
 	f.BaselineRTOMin = 10 * sim.Millisecond
 	return f
 }
@@ -179,9 +181,9 @@ type Figure9 struct {
 }
 
 // NewFigure9 returns the paper's Figure 9 specification.
-func NewFigure9() *Figure9 {
+func NewFigure9(sc Scale) *Figure9 {
 	return &Figure9{
-		Scale:       DefaultScale(),
+		Scale:       sc,
 		Protocols:   []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
 		FlowCounts:  []int{30, 50, 80},
 		SampleEvery: 100 * sim.Microsecond,
@@ -226,9 +228,9 @@ type Figure11_12 struct {
 }
 
 // NewFigure11_12 returns the paper's §VI-C specification.
-func NewFigure11_12() *Figure11_12 {
+func NewFigure11_12(sc Scale) *Figure11_12 {
 	return &Figure11_12{
-		Scale:           DefaultScale(),
+		Scale:           sc,
 		Protocols:       []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
 		FlowCounts:      []int{20, 60, 120},
 		BackgroundFlows: 2,
@@ -266,14 +268,15 @@ type Figure13 struct {
 }
 
 // NewFigure13 returns the paper's §VI-D specification at reduced scale
-// (the paper runs 7,000 + 7,000).
-func NewFigure13() *Figure13 {
+// (the paper runs 7,000 + 7,000; set Queries and Background to match).
+// Only the scale's seed applies: the benchmark has no rounds.
+func NewFigure13(sc Scale) *Figure13 {
 	return &Figure13{
 		Protocols:  []Protocol{ProtoDCTCPPlus, ProtoDCTCP},
 		Queries:    1000,
 		Background: 1000,
 		RTOMin:     10 * sim.Millisecond,
-		Seed:       1,
+		Seed:       sc.Seed,
 	}
 }
 
@@ -305,10 +308,11 @@ type Figure14 struct {
 	Result IncastResult
 }
 
-// NewFigure14 returns the paper's Figure 14 specification.
-func NewFigure14() *Figure14 {
+// NewFigure14 returns the paper's Figure 14 specification. The trace
+// keeps its own round count; the scale contributes seed and telemetry.
+func NewFigure14(sc Scale) *Figure14 {
 	return &Figure14{
-		Scale:        DefaultScale(),
+		Scale:        sc,
 		Flows:        50,
 		BytesPerFlow: 4 << 20,
 		Rounds:       8,
@@ -328,11 +332,25 @@ func (f *Figure14) Run() {
 	f.Result = RunIncast(o)
 }
 
-// Render writes the per-round series and the convergence verdict.
+// Render writes the per-round series and the convergence verdict. Each
+// round's row carries the peak sampled bottleneck occupancy between its
+// start and the next round's: the queue-over-time view of the figure.
 func (f *Figure14) Render(w io.Writer) {
-	for i, p := range f.Result.Series {
-		fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d\n",
-			i, p.FCTms, p.GoodputMbps, p.FlowTimeouts)
+	series, samples := f.Result.Series, f.Result.QueueSamples
+	j := 0
+	for i, p := range series {
+		maxQueue := 0
+		for ; j < len(samples); j++ {
+			s := samples[j]
+			if i+1 < len(series) && s.At >= series[i+1].Start {
+				break
+			}
+			if s.At >= p.Start {
+				maxQueue = max(maxQueue, s.Bytes)
+			}
+		}
+		fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d maxQueue=%6d B\n",
+			i, p.FCTms, p.GoodputMbps, p.FlowTimeouts, maxQueue)
 	}
 	fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
 		f.Result.ConvergedAtRound(), f.Result.BottleneckDrops)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,8 +10,7 @@ import (
 func tinyScale() Scale { return Scale{Rounds: 6, Warmup: 2, Seed: 1} }
 
 func TestFigure1RunAndRender(t *testing.T) {
-	f := NewFigure1()
-	f.Scale = tinyScale()
+	f := NewFigure1(tinyScale())
 	f.FlowCounts = []int{4, 8}
 	f.Run()
 	if len(f.Results) != 4 { // 2 protocols x 2 points
@@ -24,8 +24,7 @@ func TestFigure1RunAndRender(t *testing.T) {
 }
 
 func TestFigure2Table1RunAndRender(t *testing.T) {
-	f := NewFigure2Table1()
-	f.Scale = tinyScale()
+	f := NewFigure2Table1(tinyScale())
 	f.FlowCounts = []int{8}
 	f.Run()
 	if len(f.Results) != 2 {
@@ -46,14 +45,13 @@ func TestFigure2Table1RunAndRender(t *testing.T) {
 }
 
 func TestFigure7VariantsConfigs(t *testing.T) {
-	if p := NewFigure6().Protocols; p[0] != ProtoDCTCPPlusPartial {
+	if p := NewFigure6(tinyScale()).Protocols; p[0] != ProtoDCTCPPlusPartial {
 		t.Error("Figure 6 spec wrong")
 	}
-	if NewFigure8().BaselineRTOMin == 0 {
+	if NewFigure8(tinyScale()).BaselineRTOMin == 0 {
 		t.Error("Figure 8 spec missing RTO override")
 	}
-	f := NewFigure7()
-	f.Scale = tinyScale()
+	f := NewFigure7(tinyScale())
 	f.Protocols = []Protocol{ProtoDCTCPPlus}
 	f.FlowCounts = []int{6}
 	f.Run()
@@ -63,8 +61,7 @@ func TestFigure7VariantsConfigs(t *testing.T) {
 }
 
 func TestFigure8AppliesBaselineRTOOnlyToBaselines(t *testing.T) {
-	f := NewFigure8()
-	f.Scale = tinyScale()
+	f := NewFigure8(tinyScale())
 	f.FlowCounts = []int{4}
 	f.Protocols = []Protocol{ProtoDCTCPPlus, ProtoDCTCP}
 	f.Run()
@@ -77,8 +74,7 @@ func TestFigure8AppliesBaselineRTOOnlyToBaselines(t *testing.T) {
 }
 
 func TestFigure9RunAndRender(t *testing.T) {
-	f := NewFigure9()
-	f.Scale = tinyScale()
+	f := NewFigure9(tinyScale())
 	f.Protocols = []Protocol{ProtoDCTCP}
 	f.FlowCounts = []int{8}
 	f.Run()
@@ -93,8 +89,7 @@ func TestFigure9RunAndRender(t *testing.T) {
 }
 
 func TestFigure11_12RunAndRender(t *testing.T) {
-	f := NewFigure11_12()
-	f.Scale = tinyScale()
+	f := NewFigure11_12(tinyScale())
 	f.Protocols = []Protocol{ProtoDCTCPPlus}
 	f.FlowCounts = []int{4}
 	f.Run()
@@ -109,7 +104,7 @@ func TestFigure11_12RunAndRender(t *testing.T) {
 }
 
 func TestFigure13RunAndRender(t *testing.T) {
-	f := NewFigure13()
+	f := NewFigure13(tinyScale())
 	f.Queries = 15
 	f.Background = 15
 	f.Protocols = []Protocol{ProtoDCTCP}
@@ -125,7 +120,7 @@ func TestFigure13RunAndRender(t *testing.T) {
 }
 
 func TestFigure14RunAndRender(t *testing.T) {
-	f := NewFigure14()
+	f := NewFigure14(tinyScale())
 	f.Flows = 12
 	f.BytesPerFlow = 256 << 10
 	f.Rounds = 3
@@ -137,5 +132,31 @@ func TestFigure14RunAndRender(t *testing.T) {
 	f.Render(&sb)
 	if !strings.Contains(sb.String(), "converged at round") {
 		t.Error("render missing verdict")
+	}
+	// Every round row carries the round's peak sampled bottleneck
+	// occupancy, which must be a real queue inside the port's buffer.
+	buffer := DefaultTestbed().Topo.SwitchPort.BufferBytes
+	rows := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if !strings.HasPrefix(line, "round ") {
+			continue
+		}
+		rows++
+		var q int
+		_, after, ok := strings.Cut(line, "maxQueue=")
+		if !ok {
+			t.Errorf("round row missing maxQueue: %q", line)
+			continue
+		}
+		if _, err := fmt.Sscanf(after, "%d B", &q); err != nil {
+			t.Errorf("round row %q: bad maxQueue: %v", line, err)
+			continue
+		}
+		if q <= 0 || q > buffer {
+			t.Errorf("round row %q: maxQueue %d outside (0, %d]", line, q, buffer)
+		}
+	}
+	if rows != len(f.Result.Series) {
+		t.Errorf("rendered %d round rows, want %d", rows, len(f.Result.Series))
 	}
 }

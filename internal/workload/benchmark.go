@@ -60,9 +60,9 @@ type BenchmarkConfig struct {
 // so the three traffic classes actually contend at the aggregator's link
 // (~70-90%% utilization with heavy-tailed episodes): that is the §VI-D
 // regime in which DCTCP queries start missing their fan-ins while DCTCP+
-// holds them. The paper-scale run (7,000 + 7,000) is selected by
-// cmd/benchmark. All classes span comparable virtual time (counts are
-// proportional to their rates).
+// holds them. The paper-scale run (7,000 + 7,000) is the Figure13 spec in
+// internal/exp with Queries = Background = 7000. All classes span
+// comparable virtual time (counts are proportional to their rates).
 func DefaultBenchmarkConfig() BenchmarkConfig {
 	return BenchmarkConfig{
 		Queries:            500,
