@@ -32,11 +32,11 @@ fmt-check:
 
 # simlint is the repository's own static analysis (internal/lint): it
 # enforces determinism (no wall clock, no math/rand, no order-sensitive map
-# iteration, no goroutines in sim-scheduled code), sim-time and unit
-# discipline (name-based and flow-sensitive), sweep worker-race and
-# cache-key completeness, the telemetry nil-safety contract, the
-# //inv: interval contracts (range proofs, narrow-counter overflow,
-# static<->runtime check coverage), and the //state: typestate contracts
+# iteration, no goroutines in sim-scheduled or hot-path code), sim-time and
+# flow-sensitive unit discipline, sweep worker-race and cache-key
+# completeness, the telemetry nil-safety contract, the //inv: interval
+# contracts (range proofs backed by same-function internal/check asserts,
+# narrow-counter overflow), and the //state: typestate contracts
 # (pooled-packet exactly-once free, scheduler handle lifecycles, ownership
 # transfer). -stale-allow also fails the build on //lint:allow directives
 # that no longer suppress anything. Stdlib-only.

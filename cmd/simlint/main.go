@@ -1,9 +1,10 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: determinism guards, sim-time discipline, unit safety
-// (name-based and flow-sensitive), float-equality, telemetry nil-safety,
-// sweep worker-race and cache-key checks, and the call-graph passes —
-// hot-path allocation budgets, enum-switch exhaustiveness and whole-graph
-// purity (see internal/lint).
+// over the module: determinism guards (including everything reachable
+// from a hot-path root), sim-time discipline, flow-sensitive unit safety,
+// float-equality, telemetry nil-safety, sweep worker-race and cache-key
+// checks, hot-path allocation budgets, enum-switch exhaustiveness, the
+// //inv: range proofs and narrow-counter overflow, and the //state:
+// typestate lifecycles — fifteen analyzers in all (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package

@@ -9,7 +9,7 @@ import (
 
 // Program is the whole-module call graph shared by every package a Loader
 // produces. It exists for the reachability-based analyzers (hotalloc,
-// callpurity): a per-packet budget is a property of everything a hot
+// nondeterminism, overflow, sweepsafety): a per-packet budget is a property of everything a hot
 // function can reach, not of one function body, so the analysis unit has to
 // be the module, even though diagnostics are still reported per package.
 //
@@ -60,8 +60,8 @@ type Program struct {
 	// contractTable caches the parsed //inv: contracts (contracts.go) and
 	// intervalSummaries the per-function result intervals the interval
 	// engine lifts through this graph (interval.go). intervalResults
-	// caches the per-package interpreter run shared by the rangeproof,
-	// overflow and checkcover analyzers. All nil until first query;
+	// caches the per-package interpreter run shared by the rangeproof and
+	// overflow analyzers. All nil until first query;
 	// invalidated whenever the graph rebuilds.
 	contractTable     *contractTable
 	intervalSummaries map[*types.Func][]ival

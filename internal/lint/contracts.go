@@ -11,7 +11,7 @@ import (
 
 // This file implements the //inv: range-contract annotation layer: the
 // grammar, its parser, and the whole-program contract table the interval
-// analyzers (rangeproof, overflow, checkcover) consume.
+// analyzers (rangeproof, overflow) consume.
 //
 // A contract is a conjunction of comparisons attached to a struct field or
 // to a function's parameters/results:

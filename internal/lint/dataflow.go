@@ -26,7 +26,7 @@ import (
 // remaining non-additive operators return ⊥ — pkts*MSS is the legal
 // conversion form, and clearing the taint there is what keeps conversions
 // silent. Addition and subtraction join their operands; a join that lands
-// on ⊤ is already a unitsafety/unitflow finding at the operator, so ⊤ never
+// on ⊤ is already a unitflow finding at the operator, so ⊤ never
 // propagates a second diagnostic downstream.
 //
 // Interprocedural lifting: every declared function gets a summary — the
@@ -481,16 +481,12 @@ func isNumericType(t types.Type) bool {
 }
 
 // binary flags additive/comparison operators whose operands' *flow* units
-// conflict. Operand pairs that both resolve syntactically by name are
-// unitsafety's domain and are skipped here, so no site is reported twice.
+// conflict.
 func (uf *unitFlow) binary(be *ast.BinaryExpr) {
 	if uf.sink == nil || !mixingOps[be.Op] {
 		return
 	}
 	if !uf.p.isNumeric(be.X) || !uf.p.isNumeric(be.Y) {
-		return
-	}
-	if unitOf(be.X) != unitUnknown && unitOf(be.Y) != unitUnknown {
 		return
 	}
 	tx, ty := uf.exprUnit(be.X), uf.exprUnit(be.Y)

@@ -13,7 +13,7 @@ import (
 )
 
 // This file implements the interval abstract interpreter behind the
-// rangeproof, overflow and checkcover analyzers: a numeric interval
+// rangeproof and overflow analyzers: a numeric interval
 // lattice with widening, a statement-structured interpreter with
 // comparison-guided narrowing on branch edges, and per-function result
 // summaries lifted over the Program call graph the way the unit lattice
@@ -391,7 +391,6 @@ func atomBoundCanon(baseCanon string, a atom) (string, bool) {
 type checkAssert struct {
 	fnName     string     // "Unit", "NonNegative", "AtMost", ...
 	target     *types.Var // the asserted field, when the value resolves to one
-	named      bool       // what-argument is a non-empty string constant
 	boundV     ival       // evaluated bound argument (AtLeast/AtMost)
 	boundCanon string     // canonical bound expression, "" if none
 	baseCanon  string     // canonical instance expression of the value arg
@@ -1841,8 +1840,7 @@ func checkArgIdx(name string) (val, bound int, ok bool) {
 }
 
 // noteCheckCall records internal/check assertion sites: the runtime half
-// of the contract, consumed by rangeproof (discharge) and checkcover
-// (unification hygiene).
+// of the contract, consumed by rangeproof (discharge).
 func (f *intervalFlow) noteCheckCall(call *ast.CallExpr, callee *types.Func, st *absState) {
 	if !f.sink || callee.Pkg() == nil || callee.Pkg().Path() != checkPkgPath {
 		return
@@ -1856,13 +1854,6 @@ func (f *intervalFlow) noteCheckCall(call *ast.CallExpr, callee *types.Func, st 
 	}
 	f.seenCheck[call.Pos()] = true
 	ca := checkAssert{fnName: callee.Name(), pos: call.Pos()}
-	// The what-string must be a non-empty string constant to count as a
-	// *named* assertion.
-	if len(call.Args) > 0 {
-		if tv, okT := f.p.Info.Types[call.Args[0]]; okT && tv.Value != nil && tv.Value.Kind() == constant.String {
-			ca.named = constant.StringVal(tv.Value) != ""
-		}
-	}
 	val := unwrapValueExpr(call.Args[valIdx])
 	if obj, isField := f.refObj(val); obj != nil && isField {
 		ca.target, _ = obj.(*types.Var)

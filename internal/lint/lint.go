@@ -5,19 +5,19 @@
 // using nothing but the standard library (go/parser, go/ast, go/token,
 // go/types — the module is dependency-free and must stay that way).
 //
-// Eighteen analyzers ship with the pass:
+// Fifteen analyzers ship with the pass:
 //
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
-//     iteration, and goroutine spawns inside simulation-scheduled code.
+//     iteration, and goroutine spawns inside simulation-scheduled code —
+//     with no file or package allowance for code reachable from a
+//     //hot:path root.
 //   - simtime: raw int64/float64 durations crossing exported boundaries of
 //     packages where the sim.Time/sim.Duration types are available
 //     (carries an autofix rewriting int64 carriers to sim.Duration).
-//   - unitsafety: arithmetic mixing byte-, packet- and segment-valued
-//     identifiers.
-//   - unitflow: flow-sensitive upgrade of unitsafety — byte/packet/segment
-//     taint tracked through assignments, calls and returns by the dataflow
-//     engine (see dataflow.go), with per-function summaries lifted
-//     interprocedurally over the call graph.
+//   - unitflow: byte/packet/segment unit mixing — taint seeded by the
+//     identifier-suffix convention and tracked through assignments, calls
+//     and returns by the dataflow engine (see dataflow.go), with
+//     per-function summaries lifted interprocedurally over the call graph.
 //   - floateq: ==/!= on floating-point operands outside tests (carries an
 //     autofix rewriting to an epsilon comparison).
 //   - telemetrysafety: instrument methods that dereference their receiver
@@ -27,8 +27,6 @@
 //     with interface calls over-approximated by method signature).
 //   - exhaustive: switches over module enum types must cover every declared
 //     constant or carry a panicking default.
-//   - callpurity: nondeterminism sources anywhere in the call graph
-//     reachable from //hot:path roots, with no per-package allowances.
 //   - sweepsafety: writes to package-level state anywhere reachable from
 //     //sweep:job worker bodies.
 //   - sharedstate: unsynchronized writes to captured variables inside
@@ -39,14 +37,10 @@
 //   - rangeproof: interval abstract interpretation of //inv: range
 //     contracts on struct fields and function params/results (see
 //     interval.go, contracts.go); writes the prover cannot discharge at
-//     function exit must carry a named internal/check assertion.
-//   - overflow: unbounded narrow-integer accumulation and
-//     wraparound-unsafe sequence arithmetic in //hot:path- or
+//     function exit must carry an internal/check assertion that implies
+//     the contract, in the writer's own function.
+//   - overflow: unbounded narrow-integer accumulation in //hot:path- or
 //     //sweep:job-reachable code.
-//   - checkcover: the runtime half of rangeproof — internal/check
-//     assertions on annotated fields must be named, must agree with the
-//     declared contract, and must exist for every atom left statically
-//     unproven.
 //   - poollife: path-sensitive typestate proof of the //state: pooled
 //     protocols (see typestate.go) — use-after-free, double-free and
 //     leak-on-path for pooled packets, with escape into long-lived
@@ -112,19 +106,16 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism(),
 		SimTime(),
-		UnitSafety(),
 		FloatEq(),
 		TelemetrySafety(),
 		Hotalloc(),
 		Exhaustive(),
-		CallPurity(),
 		SweepSafety(),
 		UnitFlow(),
 		SharedState(),
 		CacheKey(),
 		RangeProof(),
 		Overflow(),
-		CheckCover(),
 		Poollife(),
 		HandleState(),
 		OwnXfer(),

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,8 +44,12 @@ func TestLoaderFindsModuleRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasSuffix(loader.ModuleRoot(), "repo") {
-		t.Errorf("module root = %q, want the repository root", loader.ModuleRoot())
+	want, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loader.ModuleRoot() != want {
+		t.Errorf("module root = %q, want the repository root %q", loader.ModuleRoot(), want)
 	}
 	pkgs, err := loader.Load("./internal/sim")
 	if err != nil {

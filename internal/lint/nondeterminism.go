@@ -11,8 +11,8 @@ import (
 // property: a run is a pure function of configuration and seed. It flags
 //
 //  1. wall-clock reads (time.Now and friends) outside the built-in
-//     allowlist — run metadata in cmd/ binaries and the telemetry
-//     manifest's CreatedAt stamp;
+//     allowlist — run metadata in cmd/ binaries, the telemetry manifest's
+//     CreatedAt stamp and the sweep runner's job timings;
 //  2. any import of math/rand or math/rand/v2: every stochastic decision
 //     must draw from sim.RNG, whose sequence is pinned by this repository
 //     rather than by the Go release;
@@ -23,12 +23,18 @@ import (
 //  4. goroutine spawns inside simulation-scheduled packages (anything
 //     importing internal/sim): the event loop is single-threaded by
 //     design, and concurrency inside it would make event interleaving
-//     scheduler-dependent. internal/exp is exempted — its parallelFor
-//     runs whole, isolated simulations per goroutine.
+//     scheduler-dependent. internal/exp and internal/sweep are exempted —
+//     their workers (exp.RunMany, the sweep runner) each run whole,
+//     isolated simulations over internal/sweep/pool.
+//
+// Neither allowance reaches a function the call graph marks reachable
+// from a //hot:path root: that code runs inside one simulation's event
+// loop whatever file or package it lives in, so a wall-clock read or a
+// goroutine there is flagged, with the root as provenance.
 func Nondeterminism() *Analyzer {
 	return &Analyzer{
 		Name: "nondeterminism",
-		Doc:  "forbid wall-clock reads, math/rand, order-sensitive map iteration, and goroutines in sim-scheduled code",
+		Doc:  "forbid wall-clock reads, math/rand, order-sensitive map iteration, and goroutines in sim-scheduled or hot-path code",
 		Run:  runNondeterminism,
 	}
 }
@@ -67,6 +73,12 @@ func goroutineAllowed(pkg string) bool {
 func runNondeterminism(p *Package) []Diagnostic {
 	var out []Diagnostic
 	simScheduled := p.importsSim() && !goroutineAllowed(p.ImportPath)
+	hot := map[*ast.FuncDecl]string{} // hot-reachable declarations -> provenance
+	if p.Prog != nil {
+		for _, n := range p.Prog.hotNodesIn(p) {
+			hot[n.decl] = rootLabel(n.fn, p.Prog.hotRootsOf(n.fn))
+		}
+	}
 
 	for _, f := range p.Files {
 		file := p.Fset.Position(f.Pos()).Filename
@@ -79,27 +91,35 @@ func runNondeterminism(p *Package) []Diagnostic {
 			}
 		}
 
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || !wallClockFuncs[sel.Sel.Name] {
-					return true
+		for _, decl := range f.Decls {
+			fd, _ := decl.(*ast.FuncDecl)
+			where, isHot := hot[fd]
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || !wallClockFuncs[sel.Sel.Name] {
+						return true
+					}
+					if p.isPkgIdent(sel.X, "time") && (isHot || !wallClockAllowed(file)) {
+						out = append(out, p.diag("nondeterminism", n.Pos(),
+							"wall-clock read time.%s in simulation code: use the sim.Scheduler clock", sel.Sel.Name))
+					}
+				case *ast.GoStmt:
+					switch {
+					case simScheduled:
+						out = append(out, p.diag("nondeterminism", n.Pos(),
+							"goroutine spawn in sim-scheduled package %s: the event loop is single-threaded by design", p.ImportPath))
+					case isHot:
+						out = append(out, p.diag("nondeterminism", n.Pos(),
+							"goroutine spawn on a hot path %s: the event loop is single-threaded by design", where))
+					}
+				case *ast.RangeStmt:
+					out = append(out, p.checkMapRange(f, n)...)
 				}
-				if p.isPkgIdent(sel.X, "time") && !wallClockAllowed(file) {
-					out = append(out, p.diag("nondeterminism", n.Pos(),
-						"wall-clock read time.%s in simulation code: use the sim.Scheduler clock", sel.Sel.Name))
-				}
-			case *ast.GoStmt:
-				if simScheduled {
-					out = append(out, p.diag("nondeterminism", n.Pos(),
-						"goroutine spawn in sim-scheduled package %s: the event loop is single-threaded by design", p.ImportPath))
-				}
-			case *ast.RangeStmt:
-				out = append(out, p.checkMapRange(f, n)...)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return out
 }

@@ -1,35 +1,23 @@
 package lint
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// Overflow reports two wraparound bug classes in code reachable from
+// Overflow reports unbounded accumulation in code reachable from
 // //hot:path or //sweep:job roots — the code that runs once per packet or
 // once per sweep job, where "only overflows at N=2000×seed scale" is
-// exactly the class no test tier catches:
-//
-//  1. Unbounded accumulation (x++, x += e, and their downward twins) on
-//     narrow integer struct fields. Per-function intervals cannot bound
-//     cross-call growth, so the only static discharge is an //inv:
-//     contract bounding the growing side; everything else must widen to
-//     int64. Plain int/uint count as narrow: a tally that is only safe on
-//     64-bit hosts is a latent port bug. Locals are exempt (loop
-//     counters don't accumulate across calls).
-//
-//  2. Sequence-number arithmetic on sub-64-bit values: ordering
-//     comparisons or subtraction on seq/ack-named narrow values wrap at
-//     the type boundary and must go through the modular-compare helpers
-//     (packet.SeqLT/SeqGEQ/SeqDelta). Functions named Seq* are the
-//     helpers themselves and are exempt; the module's own int64 sequence
-//     space never wraps and is exempt by width.
+// exactly the class no test tier catches. It flags x++, x += e and their
+// downward twins on narrow integer struct fields. Per-function intervals
+// cannot bound cross-call growth, so the only static discharge is an
+// //inv: contract bounding the growing side; everything else must widen
+// to int64. Plain int/uint count as narrow: a tally that is only safe on
+// 64-bit hosts is a latent port bug. Locals are exempt (loop counters
+// don't accumulate across calls).
 func Overflow() *Analyzer {
 	return &Analyzer{
 		Name: "overflow",
-		Doc:  "flag unbounded narrow-integer accumulation and wraparound-unsafe sequence arithmetic in hot/sweep-reachable code",
+		Doc:  "flag unbounded narrow-integer accumulation in hot/sweep-reachable code",
 		Run:  runOverflow,
 	}
 }
@@ -55,7 +43,6 @@ func runOverflow(p *Package) []Diagnostic {
 				"%s-typed accumulation %s %s and can wrap %s; widen to int64 or bound it with an //inv: contract",
 				ac.typ.Name(), ac.expr, dir, label))
 		}
-		out = append(out, seqArith(p, fr.node, label)...)
 	}
 	return out
 }
@@ -70,97 +57,4 @@ func reachLabel(prog *Program, fn *types.Func) (string, bool) {
 		return sweepRootLabel(fn, roots), true
 	}
 	return "", false
-}
-
-// seqArith flags wraparound-unsafe arithmetic on narrow sequence-like
-// values in one reachable function.
-func seqArith(p *Package, n *funcNode, label string) []Diagnostic {
-	if strings.HasPrefix(n.fn.Name(), "Seq") {
-		return nil // the modular helpers themselves
-	}
-	var out []Diagnostic
-	seen := map[string]bool{}
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		be, ok := node.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch be.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.SUB:
-		default:
-			return true
-		}
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			bits, name, isSeq := seqNarrow(p, side)
-			if !isSeq {
-				continue
-			}
-			key := p.Fset.Position(be.OpPos).String()
-			if seen[key] {
-				break
-			}
-			seen[key] = true
-			out = append(out, p.diag("overflow", be.OpPos,
-				"%s %s on %d-bit sequence value %s wraps at the type boundary; use the modular-compare helpers (packet.SeqLT/SeqGEQ/SeqDelta) %s",
-				opWord(be.Op), be.Op, bits, name, label))
-			break
-		}
-		return true
-	})
-	return out
-}
-
-func opWord(op token.Token) string {
-	if op == token.SUB {
-		return "subtraction"
-	}
-	return "ordering comparison"
-}
-
-// seqNarrow reports whether e is a sub-64-bit integer whose name (its own
-// identifier, selected field, or named type) reads as a sequence/ack
-// number.
-func seqNarrow(p *Package, e ast.Expr) (bits int, name string, ok bool) {
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return 0, "", false
-	}
-	b, okB := t.Underlying().(*types.Basic)
-	if !okB || b.Info()&types.IsInteger == 0 {
-		return 0, "", false
-	}
-	switch b.Kind() {
-	case types.Int32, types.Uint32:
-		bits = 32
-	case types.Int16, types.Uint16:
-		bits = 16
-	case types.Int8, types.Uint8:
-		bits = 8
-	default:
-		return 0, "", false
-	}
-	looksSeq := func(s string) bool {
-		s = strings.ToLower(s)
-		return strings.Contains(s, "seq") || strings.Contains(s, "ack")
-	}
-	if named, okN := t.(*types.Named); okN && looksSeq(named.Obj().Name()) {
-		return bits, types.ExprString(e), true
-	}
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		if looksSeq(e.Name) {
-			return bits, e.Name, true
-		}
-	case *ast.SelectorExpr:
-		if looksSeq(e.Sel.Name) {
-			return bits, types.ExprString(e), true
-		}
-	case *ast.CallExpr: // conversion: inspect the operand's spelling
-		if len(e.Args) == 1 {
-			if _, n, okS := seqNarrow(p, e.Args[0]); okS {
-				return bits, n, true
-			}
-		}
-	}
-	return 0, "", false
 }

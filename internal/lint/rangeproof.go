@@ -13,8 +13,10 @@ import (
 //
 // The static and runtime sides are two halves of one contract: a write the
 // prover discharges needs no assertion, a write it cannot discharge must
-// carry one (check.Unit, check.AtLeast, ...) so the invariant is enforced
-// somewhere. checkcover audits the opposite direction.
+// carry one (check.Unit, check.AtLeast, ...) in the same function so the
+// invariant is enforced where it can break. An assertion that does not
+// imply the contract (a drifted floor, an unrelated field) discharges
+// nothing, so the write stays flagged.
 func RangeProof() *Analyzer {
 	return &Analyzer{
 		Name: "rangeproof",

@@ -1,6 +1,6 @@
-// Package callpurity reaches nondeterminism sources from a hot root: each
-// site is flagged by the base per-function analyzers and again — with root
-// provenance — by the whole-call-graph taint pass.
+// Package callpurity reaches nondeterminism sources from a hot root. The
+// package does not import the simulator, yet nondeterminism flags each
+// site, the goroutine with the hot root as provenance.
 package callpurity
 
 import (

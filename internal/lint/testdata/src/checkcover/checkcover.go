@@ -1,7 +1,7 @@
-// Package checkcover exercises the checkcover analyzer: an anonymous
-// assertion on a contracted field, an assertion drifted away from the
-// contract it should enforce, and a contract left with neither proof nor
-// runtime coverage.
+// Package checkcover pairs contracted fields with internal/check
+// assertions: an anonymous assertion that still implies its contract
+// (accepted by rangeproof), and an assertion drifted away from the
+// contract, which discharges nothing and leaves the write flagged.
 package checkcover
 
 import "dctcpplus/internal/check"
@@ -14,17 +14,17 @@ type Meter struct {
 	ratio float64
 }
 
-// Deepen's assertion discharges the contract but is anonymous: a runtime
-// violation would not name the invariant it guards.
+// Deepen's assertion discharges the contract; its empty name costs only
+// the runtime message, not the proof.
 func (m *Meter) Deepen(d int) {
 	m.depth = d
 	check.AtLeast("", float64(m.depth), 1)
 }
 
 // Rescale's assertion drifted: it asserts a floor of 0 while the contract
-// declares a floor of 1, so the contract is not what runs. The atom is
-// then covered nowhere in the package, and the unproven write surfaces
-// through rangeproof too.
+// declares a floor of 1, so the contract is not what runs. The write is
+// left unproven and rangeproof reports it; no assertion elsewhere in the
+// package could discharge it.
 func (m *Meter) Rescale(r float64) {
 	m.ratio = r
 	check.AtLeast("meter.ratio", m.ratio, 0)

@@ -1,7 +1,7 @@
 // Package unitflowmix exercises the unitflow analyzer: byte, packet and
 // segment taint tracked through name-neutral locals, function summaries,
-// parameters, struct literals and range statements — flows unitsafety's
-// purely syntactic check cannot see.
+// parameters, struct literals and range statements — flows that no check
+// of two suffixed names meeting at one operator can see.
 package unitflowmix
 
 // Port is a switch port with unit-committed counters.

@@ -1,4 +1,5 @@
-// Package unitmix adds a byte count to a packet count.
+// Package unitmix adds a byte count to a packet count: two suffixed names
+// meeting at one operator, which unitflow reports.
 package unitmix
 
 // Overflow mixes units in the addition.

@@ -5,10 +5,10 @@ import (
 	"go/token"
 )
 
-// UnitFlow returns the analyzer that upgrades the name-based unit check to
-// flow-sensitive taint. unitsafety only sees a bug when two suffixed names
-// meet at one operator; unitflow tracks the unit a *value* carries through
-// name-neutral intermediaries, so
+// UnitFlow returns the analyzer that flags arithmetic and assignments
+// mixing byte-, packet- and segment-valued quantities. Beyond two suffixed
+// names meeting at one operator (qBytes + droppedPkts), it tracks the unit
+// a *value* carries through name-neutral intermediaries, so
 //
 //	q := link.Bytes()   // q is tainted bytes
 //	port.pkts = q       // flagged: bytes value flows into packets field
@@ -21,9 +21,8 @@ import (
 // unit commitment: an assignment to a suffixed variable or field, a keyed
 // struct literal, an argument bound to a suffixed parameter, a return into
 // a suffixed result, or an additive/comparison operator joining two taints.
-//
-// Sites where both operands already resolve by name belong to unitsafety
-// and are not re-reported here.
+// Multiplication and division are the legal conversion forms
+// (pkts * MSS = bytes) and stay silent.
 func UnitFlow() *Analyzer {
 	return &Analyzer{
 		Name: "unitflow",

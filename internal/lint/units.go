@@ -7,21 +7,11 @@ import (
 	"strings"
 )
 
-// UnitSafety returns the analyzer that flags arithmetic mixing byte-,
-// packet- and segment-valued identifiers. The simulator carries all three
-// units as plain integers (buffer occupancy in bytes, counters in packets,
-// windows in MSS segments), so nothing in the type system stops
-// "qBytes + droppedPkts"; the analyzer applies the naming convention the
-// codebase already follows. Additive and comparison operators across
-// different unit classes are flagged; multiplication and division are the
-// legal conversion forms (pkts * MSS = bytes) and stay silent.
-func UnitSafety() *Analyzer {
-	return &Analyzer{
-		Name: "unitsafety",
-		Doc:  "flag +,-,comparison arithmetic mixing byte-, packet- and segment-valued identifiers",
-		Run:  runUnitSafety,
-	}
-}
+// The simulator carries bytes, packets and MSS segments as plain integers
+// (buffer occupancy in bytes, counters in packets, windows in segments), so
+// nothing in the type system stops "qBytes + droppedPkts". This file holds
+// the naming convention the codebase follows — a unit suffix on the
+// identifier — which seeds the unitflow analyzer's taint (dataflow.go).
 
 // unitClass is the measurement unit inferred from an identifier's name.
 type unitClass int
@@ -111,28 +101,6 @@ var mixingOps = map[token.Token]bool{
 	token.ADD: true, token.SUB: true,
 	token.LSS: true, token.GTR: true, token.LEQ: true, token.GEQ: true,
 	token.EQL: true, token.NEQ: true,
-}
-
-func runUnitSafety(p *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || !mixingOps[be.Op] {
-				return true
-			}
-			if !p.isNumeric(be.X) || !p.isNumeric(be.Y) {
-				return true
-			}
-			ux, uy := unitOf(be.X), unitOf(be.Y)
-			if ux != unitUnknown && uy != unitUnknown && ux != uy {
-				out = append(out, p.diag("unitsafety", be.OpPos,
-					"arithmetic mixes units: left operand is %s, right operand is %s", ux, uy))
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // isNumeric reports whether e has a numeric basic type.

@@ -5,8 +5,7 @@ package packet
 // macros. The simulator's own transport runs in a flat int64 byte space
 // that never wraps, but trace parsers and wire-format tools deal in the
 // 32-bit numbers real TCP carries — and plain <, >, - on those silently
-// give the wrong answer near the wrap point. The overflow analyzer in
-// internal/lint steers all narrow sequence arithmetic here.
+// give the wrong answer near the wrap point.
 
 // Seq32 is a wrapping 32-bit sequence number.
 type Seq32 uint32
